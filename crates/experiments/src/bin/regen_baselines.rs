@@ -29,15 +29,13 @@ use std::cell::Cell;
 use std::rc::Rc;
 use std::time::Instant;
 
-use sprinkler_core::reference::ReferenceScheduler;
 use sprinkler_core::SchedulerKind;
-use sprinkler_experiments::micro::{representative_run, standing_scene};
+use sprinkler_experiments::micro::{self, Timing, SAMPLES};
 use sprinkler_experiments::runner::ExperimentScale;
 use sprinkler_experiments::{fig10, fig15_scaling, scenario};
 use sprinkler_flash::Lpn;
 use sprinkler_sim::{AllocScope, CountingAllocator, SimTime};
 use sprinkler_ssd::request::{Direction, HostRequest};
-use sprinkler_ssd::scheduler::{IoScheduler, SchedulerContext};
 use sprinkler_ssd::{RunMetrics, Ssd, SsdConfig};
 
 /// Every baseline figure is measured under the counting allocator, so the
@@ -46,35 +44,17 @@ use sprinkler_ssd::{RunMetrics, Ssd, SsdConfig};
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// Matches the vendored criterion shim: one untimed warmup, then `samples`
-/// timed iterations.
-const SAMPLES: usize = 10;
-
 /// Relative tolerance of the `--check` gate.  The simulated metrics are
 /// deterministic; the slack only absorbs the 4-decimal rounding the baseline
 /// files store.
 const CHECK_TOLERANCE: f64 = 1e-3;
 
-struct Timing {
-    mean_ns: f64,
-    min_ns: f64,
-    max_ns: f64,
-}
-
-fn time_runs(mut body: impl FnMut()) -> Timing {
-    body(); // warmup
-    let mut samples = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        let start = Instant::now();
-        body();
-        samples.push(start.elapsed().as_nanos() as f64);
-    }
-    let sum: f64 = samples.iter().sum();
-    Timing {
-        mean_ns: sum / samples.len() as f64,
-        min_ns: samples.iter().cloned().fold(f64::INFINITY, f64::min),
-        max_ns: samples.iter().cloned().fold(0.0, f64::max),
-    }
+/// Times the registered body `name` exactly as `cargo bench` does.
+fn time(name: &str) -> Timing {
+    let body = micro::find(name).unwrap_or_else(|| panic!("{name} is not in the registry"));
+    let timing = body.time(SAMPLES);
+    timing.print(name);
+    timing
 }
 
 /// Escapes a string for interpolation into a JSON string literal.
@@ -89,20 +69,6 @@ fn json_escape(raw: &str) -> String {
         }
     }
     out
-}
-
-fn time_round(scheduler: &mut dyn IoScheduler, chips: usize) -> Timing {
-    let (geometry, queue, ledger) = standing_scene(chips);
-    scheduler.initialize(&geometry);
-    let ctx = SchedulerContext {
-        now: SimTime::ZERO,
-        geometry: &geometry,
-        queue: &queue,
-        ledger: &ledger,
-    };
-    time_runs(|| {
-        std::hint::black_box(scheduler.schedule(&ctx));
-    })
 }
 
 fn workspace_root() -> std::path::PathBuf {
@@ -449,10 +415,7 @@ fn metrics_check_json(metrics: &[(&str, f64)]) -> String {
 
 fn regen_seed_baseline(label: &str, date: &str) -> String {
     println!("== BENCH_seed.json: fig10 at bench scale ==");
-    let spk3 = time_runs(|| {
-        std::hint::black_box(representative_run(SchedulerKind::Spk3));
-    });
-    println!("fig10/spk3_run mean {:.1} ns", spk3.mean_ns);
+    let spk3 = time("fig10/spk3_run");
 
     let start = Instant::now();
     let metrics = seed_metrics();
@@ -471,7 +434,7 @@ fn regen_seed_baseline(label: &str, date: &str) -> String {
   "scale": {{
     "ios_per_workload": 200,
     "blocks_per_plane": 32,
-    "note": "bench scale; the timed body is the 120-I/O representative_run recipe of sprinkler_bench"
+    "note": "bench scale; the timed body is the 120-I/O representative_run recipe of sprinkler_experiments::micro"
   }},
   "profile": "release, 1 untimed warmup then {SAMPLES} timed iterations (regen_baselines)",
   "results": [
@@ -502,24 +465,16 @@ fn regen_seed_baseline(label: &str, date: &str) -> String {
 }
 
 fn regen_scaling_baseline(label: &str, date: &str) -> String {
-    let scale = ExperimentScale::bench();
     println!("== BENCH_scaling.json: scaling_1024 + scheduler_rounds ==");
     let mut scaling_results = String::new();
     for (i, kind) in [SchedulerKind::Vas, SchedulerKind::Spk3].iter().enumerate() {
-        let timing = time_runs(|| {
-            std::hint::black_box(fig15_scaling::run_point(&scale, 1024, 32, *kind));
-        });
-        println!(
-            "scaling_1024/{}_1024chips_32kb mean {:.1} ns",
-            kind.label(),
-            timing.mean_ns
-        );
+        let name = format!("scaling_1024/{}_1024chips_32kb", kind.label());
+        let timing = time(&name);
         if i > 0 {
             scaling_results.push_str(",\n");
         }
         scaling_results.push_str(&format!(
-            r#"      {{ "bench": "scaling_1024/{}_1024chips_32kb", "mean_ns": {:.1}, "samples": {SAMPLES} }}"#,
-            kind.label(),
+            r#"      {{ "bench": "{name}", "mean_ns": {:.1}, "samples": {SAMPLES} }}"#,
             timing.mean_ns
         ));
     }
@@ -531,15 +486,11 @@ fn regen_scaling_baseline(label: &str, date: &str) -> String {
             .iter()
             .enumerate()
         {
-            let fast = time_round(kind.build().as_mut(), chips);
-            let mut reference = ReferenceScheduler::new(*kind);
-            let naive = time_round(&mut reference, chips);
-            println!(
-                "scheduler_rounds/{}_{chips}chips mean {:.1} ns (reference {:.1} ns)",
-                kind.label(),
-                fast.mean_ns,
-                naive.mean_ns
-            );
+            let fast = time(&format!("scheduler_rounds/{}_{chips}chips", kind.label()));
+            let naive = time(&format!(
+                "scheduler_rounds/{}ref_{chips}chips",
+                kind.label()
+            ));
             if i > 0 || j > 0 {
                 rounds_results.push_str(",\n");
                 speedups.push_str(",\n");
@@ -607,19 +558,9 @@ fn regen_scaling_baseline(label: &str, date: &str) -> String {
 
 fn regen_array_baseline(label: &str, date: &str) -> String {
     println!("== BENCH_array.json: array-scaleout (bench-scale timing, quick-scale metrics) ==");
-    // The timed body runs at bench scale — the same recipe the
-    // `array_scaleout/spk3_n4_256kb` criterion bench times — so the committed
-    // mean is directly comparable to a local `cargo bench` run.  The
-    // metrics_check figures below stay at quick scale, matching the scenario
-    // CI runs.
-    let timing = time_runs(|| {
-        std::hint::black_box(scenario::array_scaleout_metrics(
-            &ExperimentScale::bench(),
-            4,
-            SchedulerKind::Spk3,
-        ));
-    });
-    println!("array_scaleout/spk3_n4_256kb mean {:.1} ns", timing.mean_ns);
+    // The timed body runs at bench scale; the metrics_check figures below
+    // stay at quick scale, matching the scenario CI runs.
+    let timing = time("array_scaleout/spk3_n4_256kb");
     let start = Instant::now();
     let metrics = array_metrics();
     let panel_s = start.elapsed().as_secs_f64();
@@ -633,7 +574,7 @@ fn regen_array_baseline(label: &str, date: &str) -> String {
   "baseline": "{label}",
   "date": "{date}",
   "command": "cargo run --release -p sprinkler_experiments --bin regen_baselines -- --label '...'",
-  "scenario": "array-scaleout: one 256KB-transfer workload striped over n devices at a fixed 64-chip budget and fixed 512MB footprint (32KB stripes); plus adaptive-placement figures: array-skew uniform/hot-shard/hot-shard-rebalance at the 12x figure horizon, array-rebalance and array-hetero static/adaptive cells with the rebalancer's migration telemetry; timing at bench scale to match the array_scaleout criterion bench, metrics_check at quick scale to match the CI scenario run",
+  "scenario": "array-scaleout: one 256KB-transfer workload striped over n devices at a fixed 64-chip budget and fixed 512MB footprint (32KB stripes); plus adaptive-placement figures: array-skew uniform/hot-shard/hot-shard-rebalance at the 12x figure horizon, array-rebalance and array-hetero static/adaptive cells with the rebalancer's migration telemetry; timing at bench scale to match the array_scaleout registry body, metrics_check at quick scale to match the CI scenario run",
   "profile": "release, 1 untimed warmup then {SAMPLES} timed iterations (regen_baselines)",
   "results": [
     {{
@@ -656,19 +597,9 @@ fn regen_array_baseline(label: &str, date: &str) -> String {
 
 fn regen_tenant_baseline(label: &str, date: &str) -> String {
     println!("== BENCH_tenants.json: tenant-mix + tenant-storm (quick-scale metrics) ==");
-    // The timed body matches the `tenant_fairness/spk3_mix_3tenants` criterion
-    // bench: the whole admission front — slicing, DRR, buckets, per-tenant
-    // attribution — at bench scale.
-    let timing = time_runs(|| {
-        std::hint::black_box(scenario::tenant_mix_outcome(
-            &ExperimentScale::bench(),
-            SchedulerKind::Spk3,
-        ));
-    });
-    println!(
-        "tenant_fairness/spk3_mix_3tenants mean {:.1} ns",
-        timing.mean_ns
-    );
+    // The timed body is the whole admission front — slicing, DRR, buckets,
+    // per-tenant attribution — at bench scale.
+    let timing = time("tenant_fairness/spk3_mix_3tenants");
     let start = Instant::now();
     let metrics = tenant_metrics();
     let panel_s = start.elapsed().as_secs_f64();
@@ -682,7 +613,7 @@ fn regen_tenant_baseline(label: &str, date: &str) -> String {
   "baseline": "{label}",
   "date": "{date}",
   "command": "cargo run --release -p sprinkler_experiments --bin regen_baselines -- --label '...'",
-  "scenario": "tenant-mix: interactive (95% 4KB random reads, 5ms SLO) + streaming (sequential 256KB reads, 50ms SLO) + batch (128KB writes behind a 64MB/s token bucket) sharing one device through the deficit-round-robin admission front; tenant-storm: the same tenants with the batch lane at 8x volume in one dense burst — the *_p99_ratio keys are storm/baseline per victim and must stay within the isolation bound while the batch ratio shows the storm cost its sender; timing at bench scale to match the tenant_fairness criterion bench, metrics_check at quick scale to match the CI scenario run",
+  "scenario": "tenant-mix: interactive (95% 4KB random reads, 5ms SLO) + streaming (sequential 256KB reads, 50ms SLO) + batch (128KB writes behind a 64MB/s token bucket) sharing one device through the deficit-round-robin admission front; tenant-storm: the same tenants with the batch lane at 8x volume in one dense burst — the *_p99_ratio keys are storm/baseline per victim and must stay within the isolation bound while the batch ratio shows the storm cost its sender; timing at bench scale to match the tenant_fairness registry body, metrics_check at quick scale to match the CI scenario run",
   "profile": "release, 1 untimed warmup then {SAMPLES} timed iterations (regen_baselines)",
   "results": [
     {{

@@ -29,8 +29,10 @@
 //! Absolute numbers differ from the paper (our substrate is a from-scratch
 //! simulator, not the authors' testbed); the comparisons the paper draws — who
 //! wins, by roughly what factor, and where the crossovers fall — are what these
-//! experiments reproduce.  `EXPERIMENTS.md` at the repository root records the
-//! paper-vs-measured comparison for every experiment.
+//! experiments reproduce.  `cargo bench -p sprinkler_experiments` prints each
+//! figure next to the paper's number, and `BENCH_seed.json`'s `figure_check`
+//! records the fig10 headline against the paper's range (the README's
+//! Benchmarks section describes both).
 //!
 //! # Example
 //!

@@ -48,15 +48,14 @@
 //! ```text
 //! cargo build --release   # every crate
 //! cargo test -q           # unit + integration + property + doc tests
-//! cargo bench --no-run    # compiles the 18 bench targets in crates/bench
+//! cargo bench -p sprinkler_experiments -- --test   # runs every timed body once
 //! ```
 //!
 //! Crate dependency order (each depends on the ones before it):
 //! `sprinkler_sim` → `sprinkler_flash` → `sprinkler_ssd` → `sprinkler_core`,
 //! with `sprinkler_workloads` (only needing `sim`), `sprinkler_array` (the
 //! striped multi-device frontend), and `sprinkler_tenants` (the fair-share
-//! admission front) feeding `sprinkler_experiments` and `sprinkler_bench` on
-//! top.  `ARCHITECTURE.md` at the repo root walks the whole graph.
+//! admission front) feeding `sprinkler_experiments` on top.  `ARCHITECTURE.md` at the repo root walks the whole graph.
 
 #![warn(missing_docs)]
 

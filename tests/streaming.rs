@@ -110,8 +110,8 @@ fn backlog_stays_bounded_by_queue_depth_across_20k_ios() {
 /// The ≥1M-I/O streaming demonstration (acceptance criterion of the streaming
 /// subsystem): a million-request enterprise replay completes with queue-side
 /// memory bounded by the queue depth.  Ignored in everyday `cargo test` for
-/// time; CI runs it in release mode (`--ignored`), and the
-/// `streaming_replay` bench target exercises the same shape under Criterion.
+/// time; CI runs it in release mode (`--ignored`), and the timed
+/// `streaming_replay/msnfs1_20k_stream` body exercises the same shape.
 #[test]
 #[ignore = "multi-minute in debug builds; CI runs it in release via --ignored"]
 fn million_io_streaming_replay_is_bounded() {

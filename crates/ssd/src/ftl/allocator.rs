@@ -260,12 +260,20 @@ impl Allocator {
         self.planes[plane_index].valid_count[block as usize] as usize
     }
 
-    /// The page offsets holding valid data in `block` of `plane_index`.
-    pub fn valid_page_offsets(&self, plane_index: usize, block: u32) -> Vec<u32> {
-        let bits = self.planes[plane_index].valid_bits[block as usize];
-        (0..self.geometry.pages_per_block as u32)
-            .filter(|&p| bits & (1u128 << p) != 0)
-            .collect()
+    /// The page offsets holding valid data in `block` of `plane_index`,
+    /// ascending.  The iterator walks a copy of the block's valid bitmap, so
+    /// it allocates nothing and does not borrow the allocator: the caller may
+    /// keep allocating and invalidating while it iterates.
+    pub fn valid_page_offsets(&self, plane_index: usize, block: u32) -> impl Iterator<Item = u32> {
+        let mut bits = self.planes[plane_index].valid_bits[block as usize];
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let page = bits.trailing_zeros();
+            bits &= bits - 1;
+            Some(page)
+        })
     }
 
     /// Chooses a garbage-collection victim in `plane_index`: the in-use,
@@ -431,8 +439,9 @@ mod tests {
         assert_eq!(addr.block, 2);
         let victim = a.victim_block(0).unwrap();
         assert_eq!(victim, 0);
-        let survivors = a.valid_page_offsets(0, 0);
+        let survivors: Vec<u32> = a.valid_page_offsets(0, 0).collect();
         assert_eq!(survivors.len(), 2);
+        assert!(survivors.windows(2).all(|pair| pair[0] < pair[1]));
     }
 
     #[test]

@@ -70,6 +70,10 @@ pub struct Ftl {
     gc_watermark: usize,
     stats: FtlStats,
     gc_stats: GcStats,
+    /// A cleared migration buffer handed back through [`Ftl::recycle_plan`],
+    /// reused by the next [`Ftl::collect_plane`] so GC planning allocates
+    /// nothing once it has grown to a victim block's valid-page count.
+    spare_migrations: Vec<PageMigration>,
 }
 
 impl Ftl {
@@ -87,6 +91,7 @@ impl Ftl {
             gc_watermark,
             stats: FtlStats::default(),
             gc_stats: GcStats::default(),
+            spare_migrations: Vec::new(),
         }
     }
 
@@ -208,9 +213,9 @@ impl Ftl {
     pub fn collect_plane(&mut self, plane_index: usize) -> Option<GcPlan> {
         let victim = self.alloc.victim_block(plane_index)?;
         let loc = self.alloc.plane_location(plane_index);
-        let valid_offsets = self.alloc.valid_page_offsets(plane_index, victim);
-        let mut migrations = Vec::with_capacity(valid_offsets.len());
-        for page in valid_offsets {
+        let mut migrations = std::mem::take(&mut self.spare_migrations);
+        migrations.clear();
+        for page in self.alloc.valid_page_offsets(plane_index, victim) {
             let from = PhysicalPageAddr {
                 channel: loc.channel,
                 way: loc.way,
@@ -268,6 +273,14 @@ impl Ftl {
         };
         self.gc_stats.record_plan(&plan);
         Some(plan)
+    }
+
+    /// Takes back a spent plan's migration buffer for the next
+    /// [`Ftl::collect_plane`].
+    pub fn recycle_plan(&mut self, plan: GcPlan) {
+        let mut migrations = plan.migrations;
+        migrations.clear();
+        self.spare_migrations = migrations;
     }
 
     /// Pre-conditions the SSD to a fragmented state: issues `target_utilization`

@@ -83,7 +83,6 @@ struct GcJob {
     outstanding_programs: usize,
     erase_addr: PhysicalPageAddr,
     erase_issued: bool,
-    finished: bool,
 }
 
 /// The simulated many-chip SSD.
@@ -137,7 +136,12 @@ pub struct Ssd {
     /// the run metrics at finalize.
     telemetry: Arc<TelemetryCounters>,
 
+    /// GC jobs by slot.  A finished job's slot is reused by the next
+    /// invocation, so the vector never holds more slots than the peak number
+    /// of planes collecting at once.
     gc_jobs: Vec<GcJob>,
+    /// Slots of `gc_jobs` whose job has finished.
+    free_gc_jobs: Vec<usize>,
     gc_roles: HashMap<MemReqId, GcRole>,
     gc_active_planes: HashSet<usize>,
     readdressed_lpns: HashSet<u64>,
@@ -216,6 +220,7 @@ impl Ssd {
             txn_scratch,
             telemetry,
             gc_jobs: Vec::new(),
+            free_gc_jobs: Vec::new(),
             gc_roles: HashMap::new(),
             gc_active_planes: HashSet::new(),
             readdressed_lpns: HashSet::new(),
@@ -301,6 +306,13 @@ impl Ssd {
     /// Panics if the stream yields a request whose arrival time precedes the
     /// previous request's (use [`Ssd::run`] for unsorted traces).
     pub fn run_stream(mut self, arrivals: impl IntoIterator<Item = HostRequest>) -> RunMetrics {
+        self.replay(arrivals);
+        self.finalize()
+    }
+
+    /// The bounded-admission event loop of [`Ssd::run_stream`], run until the
+    /// source is dry and every event has been handled.
+    fn replay(&mut self, arrivals: impl IntoIterator<Item = HostRequest>) {
         let mut source = arrivals.into_iter();
         let backlog_cap = self.config.queue_depth.max(1);
         let mut next = source.next();
@@ -348,7 +360,6 @@ impl Ssd {
             self.metrics
                 .record_queue_pressure(self.waiting_host.len(), self.events.len());
         }
-        self.finalize()
     }
 
     fn finalize(self) -> RunMetrics {
@@ -750,15 +761,23 @@ impl Ssd {
             return;
         };
         self.gc_active_planes.insert(plane);
-        let job_index = self.gc_jobs.len();
-        self.gc_jobs.push(GcJob {
+        let job = GcJob {
             plane,
             outstanding_reads: 0,
             outstanding_programs: 0,
             erase_addr: plan.erase_addr,
             erase_issued: false,
-            finished: false,
-        });
+        };
+        let job_index = match self.free_gc_jobs.pop() {
+            Some(slot) => {
+                self.gc_jobs[slot] = job;
+                slot
+            }
+            None => {
+                self.gc_jobs.push(job);
+                self.gc_jobs.len() - 1
+            }
+        };
         // Readdressing: tell Sprinkler-class schedulers, update stale previews, or
         // queue up penalties for schedulers without the callback.
         for migration in &plan.migrations {
@@ -792,6 +811,7 @@ impl Ssd {
             self.gc_jobs[job_index].outstanding_reads += 1;
             self.gc_delivery(id, migration.from, FlashOp::Read, now);
         }
+        self.ftl.recycle_plan(plan);
         if self.gc_jobs[job_index].outstanding_reads == 0 {
             // Nothing valid to migrate: erase immediately.
             self.issue_gc_erase(job_index, now);
@@ -852,9 +872,11 @@ impl Ssd {
                 }
             }
             GcRole::Erase { job } => {
-                self.gc_jobs[job].finished = true;
+                // The erase is a job's last request: no role refers to the
+                // slot any more.
                 let plane = self.gc_jobs[job].plane;
                 self.gc_active_planes.remove(&plane);
+                self.free_gc_jobs.push(job);
             }
         }
     }
@@ -1044,6 +1066,29 @@ mod tests {
         let metrics = ssd.run(trace);
         assert_eq!(metrics.io_count, 60);
         assert!(metrics.gc.invocations > 0);
+    }
+
+    #[test]
+    fn gc_storm_keeps_job_slots_bounded() {
+        let config = SsdConfig::small_test()
+            .with_blocks_per_plane(4)
+            .with_gc(GcConfig::enabled());
+        let planes = config.geometry.total_planes();
+        let mut ssd = Ssd::new(config, Box::new(CommitAllScheduler::new())).unwrap();
+        ssd.precondition(0.90, 7);
+        ssd.replay((0..3_000).map(|i| write_req(i, i * 20, (i * 7) % 48, 1)));
+        let invocations = ssd.ftl.gc_stats().invocations;
+        assert!(
+            invocations > 20 * planes as u64,
+            "storm too mild: {invocations} GC invocations"
+        );
+        assert!(ssd.gc_active_planes.is_empty(), "every GC job finished");
+        assert!(
+            ssd.gc_jobs.len() <= planes,
+            "{} job slots",
+            ssd.gc_jobs.len()
+        );
+        assert_eq!(ssd.free_gc_jobs.len(), ssd.gc_jobs.len());
     }
 
     #[test]

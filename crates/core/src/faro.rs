@@ -61,6 +61,16 @@ pub struct FaroScratch {
     members: Vec<FaroCandidate>,
 }
 
+impl FaroScratch {
+    /// Sizes every buffer for selections over up to `candidates` candidates.
+    pub fn reserve(&mut self, candidates: usize) {
+        self.remaining.reserve(candidates);
+        self.occupied.reserve(candidates);
+        self.tags.reserve(candidates);
+        self.members.reserve(candidates);
+    }
+}
+
 /// The FARO candidate selector.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaroSelector {

@@ -402,6 +402,16 @@ impl IoScheduler for SprinklerScheduler {
     }
 
     fn schedule_into(&mut self, ctx: &SchedulerContext<'_>, out: &mut Vec<Commitment>) {
+        // A chip's candidates are rows of the queue's candidate arena, so
+        // per-chip scratch sized to the arena grows only when the arena does.
+        let bound = ctx.queue.candidate_capacity();
+        if self.cand_scratch.capacity() < bound {
+            self.cand_scratch
+                .reserve(bound.saturating_sub(self.cand_scratch.len()));
+            self.faro_picks
+                .reserve(bound.saturating_sub(self.faro_picks.len()));
+            self.faro_scratch.reserve(bound);
+        }
         if self.use_rios {
             self.schedule_resource_driven(ctx, out);
         } else {

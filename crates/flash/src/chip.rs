@@ -3,14 +3,15 @@
 //! A flash chip exposes its dies and planes through a single multiplexed interface
 //! and a chip-enable pin, so only one flash transaction can occupy the chip at a
 //! time (§2.2).  [`Chip`] tracks when the chip is busy, plans the phase timing of a
-//! transaction ([`ChipPhase`]), and accounts per-die / per-plane busy time used by
-//! the intra-chip idleness and FLP metrics.
+//! transaction ([`ChipPhase`]), and sums the die and plane busy time used by the
+//! intra-chip idleness and FLP metrics.  The sums are all the simulator reads,
+//! so a chip keeps them in two fields rather than one record per die and plane:
+//! a chip owns no heap memory, and a 1024-chip array of them is one allocation.
 
 use serde::{Deserialize, Serialize};
 use sprinkler_sim::{Duration, SimTime};
 
 use crate::address::ChipLocation;
-use crate::die::Die;
 use crate::error::FlashError;
 use crate::geometry::FlashGeometry;
 use crate::timing::FlashTiming;
@@ -72,7 +73,8 @@ pub struct ChipStats {
     pub plane_busy: Duration,
 }
 
-/// A flash chip: dies, planes, the shared interface, and its busy bookkeeping.
+/// A flash chip: the shared interface of its dies and planes, and its busy
+/// bookkeeping.
 ///
 /// # Example
 ///
@@ -96,10 +98,15 @@ pub struct ChipStats {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Chip {
     location: ChipLocation,
-    dies: Vec<Die>,
+    dies: usize,
     busy: bool,
     busy_since: SimTime,
     ready_at: SimTime,
+    /// Cell windows summed over every die and every plane a transaction has
+    /// occupied, including the running one; folded into `stats` when it
+    /// completes.
+    die_busy: Duration,
+    plane_busy: Duration,
     stats: ChipStats,
 }
 
@@ -109,12 +116,12 @@ impl Chip {
     pub fn new(location: ChipLocation, geometry: &FlashGeometry) -> Self {
         Chip {
             location,
-            dies: (0..geometry.dies_per_chip)
-                .map(|_| Die::new(geometry.planes_per_die))
-                .collect(),
+            dies: geometry.dies_per_chip,
             busy: false,
             busy_since: SimTime::ZERO,
             ready_at: SimTime::ZERO,
+            die_busy: Duration::ZERO,
+            plane_busy: Duration::ZERO,
             stats: ChipStats::default(),
         }
     }
@@ -134,14 +141,9 @@ impl Chip {
         self.ready_at
     }
 
-    /// Read-only access to a die.
-    pub fn die(&self, index: usize) -> &Die {
-        &self.dies[index]
-    }
-
     /// Number of dies on the chip.
     pub fn die_count(&self) -> usize {
-        self.dies.len()
+        self.dies
     }
 
     /// Execution statistics collected so far.
@@ -150,7 +152,7 @@ impl Chip {
     }
 
     /// Plans and starts a transaction at `start`, marking the chip busy and
-    /// recording die/plane activity for the cell window.
+    /// charging the cell window to each die and each plane it occupies.
     ///
     /// # Errors
     ///
@@ -183,16 +185,15 @@ impl Chip {
             completion_bus: timing.completion_bus_time(txn),
         };
 
-        // Record die / plane activity for the cell window.  One die-level
-        // window per distinct die (first occurrence wins), one plane record
-        // per request — all without collecting scratch vectors, since this
-        // runs once per transaction on the zero-allocation replay path.
+        // Charge the cell window once per distinct die and once per request
+        // (a transaction holds one request per plane).
+        let window = cell_end.saturating_since(issue_end);
         let requests = txn.requests();
         for (i, request) in requests.iter().enumerate() {
             if requests[..i].iter().all(|prev| prev.die != request.die) {
-                self.dies[request.die as usize].record_window(issue_end, cell_end);
+                self.die_busy += window;
             }
-            self.dies[request.die as usize].record_plane(request.plane, issue_end, cell_end);
+            self.plane_busy += window;
         }
 
         self.busy = true;
@@ -221,8 +222,8 @@ impl Chip {
         self.busy = false;
         self.ready_at = at;
         self.stats.busy += at.saturating_since(self.busy_since);
-        self.stats.die_busy = self.dies.iter().map(Die::busy_time).sum();
-        self.stats.plane_busy = self.dies.iter().map(Die::plane_busy_time).sum();
+        self.stats.die_busy = self.die_busy;
+        self.stats.plane_busy = self.plane_busy;
     }
 
     /// Total chip busy time, including the currently running transaction evaluated
@@ -336,8 +337,6 @@ mod tests {
         assert_eq!(stats.die_busy, phase.cell() * 2);
         // Four planes were busy for the cell window each.
         assert_eq!(stats.plane_busy, phase.cell() * 4);
-        assert_eq!(chip.die(0).operations(), 1);
-        assert_eq!(chip.die(1).operations(), 1);
     }
 
     #[test]

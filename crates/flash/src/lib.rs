@@ -14,8 +14,10 @@
 //! * [`FlashTransaction`] / [`ParallelismLevel`] — a coalesced group of page-level
 //!   requests executed as a single chip operation, classified into NON-PAL, PAL1
 //!   (plane sharing), PAL2 (die interleaving), or PAL3 (both).
-//! * [`Chip`] / [`Die`] / [`Plane`] — the chip state machine (R/B signalling, busy
-//!   windows, per-resource busy accounting used for intra-chip idleness metrics).
+//! * [`Chip`] — the chip state machine (R/B signalling, busy windows, and the die
+//!   and plane busy sums used for intra-chip idleness metrics).
+//! * [`Die`] / [`Plane`] — standalone per-die and per-plane activity records; a
+//!   [`Chip`] keeps only their sums.
 //! * [`CellArray`] — program/erase ordering ground truth (write pointers, erase
 //!   counts) used to validate FTL behaviour.
 //!

@@ -139,6 +139,14 @@ impl CandidateIndex {
         self.live as usize
     }
 
+    /// Rows the arena or its compaction spares hold without allocating.  It
+    /// is never below [`Self::len`], compaction's buffer swap leaves it as it
+    /// is, and it grows only when one of them is reallocated, so a buffer of
+    /// candidate rows sized to it never grows on its own.
+    pub fn capacity(&self) -> usize {
+        self.col_seq.capacity().max(self.spare_seq.capacity())
+    }
+
     /// True when no chip has candidates.
     pub fn is_empty(&self) -> bool {
         self.live == 0
@@ -262,8 +270,24 @@ impl CandidateIndex {
         self.maybe_compact();
     }
 
-    /// Relocates a full extent to the end of the arena with doubled capacity.
+    /// Makes room in a full extent: relocates it to the end of the arena with
+    /// doubled capacity, or, when that would outgrow the arena's allocation
+    /// and the compacted arena fits the spares, compacts instead.  Compaction
+    /// gives every live extent, this one included, 50% slack, so the insert
+    /// then fits in place.  The allocation therefore grows with the live-row
+    /// high-water mark, not with the relocation garbage that piles up between
+    /// compactions.
     fn grow(&mut self, chip: usize) {
+        let relocated = (self.extents[chip].cap * 2).max(MIN_EXTENT_CAP) as usize;
+        if self.col_seq.len() + relocated > self.col_seq.capacity()
+            && self.compacted_len() <= self.spare_seq.capacity()
+        {
+            self.compact();
+            let ext = self.extents[chip];
+            if ext.len < ext.cap {
+                return;
+            }
+        }
         let ext = self.extents[chip];
         let new_cap = (ext.cap * 2).max(MIN_EXTENT_CAP);
         let new_start = self.col_seq.len();
@@ -285,8 +309,8 @@ impl CandidateIndex {
         // compaction output is strictly smaller than the arena it replaces, so
         // sizing the spares here (at the only point the arena itself grows)
         // guarantees compaction never allocates at steady state.  Compaction
-        // itself must NOT run here: the caller is mid-insert and a compaction
-        // would reset the just-grown (still empty) extent.
+        // must NOT run after the relocation: a compaction would reset the
+        // just-grown (still empty) extent.
         let need = self.col_seq.len();
         self.reserve_spares(need);
     }
@@ -308,19 +332,23 @@ impl CandidateIndex {
         }
     }
 
-    /// Rewrites every live extent tightly (with 50% slack) into the spare
-    /// buffers and swaps them in.  O(live rows + chips), allocation-free once
-    /// the spares have reached the arena's high-water capacity.
-    fn compact(&mut self) {
-        let total: usize = self
-            .extents
+    /// Arena rows after a compaction.
+    fn compacted_len(&self) -> usize {
+        self.extents
             .iter()
             .filter(|ext| ext.len > 0)
             .map(|ext| {
                 let len = ext.len as usize;
                 len + len / 2 + 2
             })
-            .sum();
+            .sum()
+    }
+
+    /// Rewrites every live extent tightly (with 50% slack) into the spare
+    /// buffers and swaps them in.  O(live rows + chips), allocation-free once
+    /// the spares have reached the arena's high-water capacity.
+    fn compact(&mut self) {
+        let total = self.compacted_len();
         self.spare_seq.clear();
         self.spare_seq.resize(total, 0);
         self.spare_pri.clear();

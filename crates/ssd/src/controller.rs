@@ -87,8 +87,8 @@ pub struct BuiltTransaction {
 /// build.  Once its buffers and pools have grown to the coalescing high-water
 /// mark, transaction building performs no allocations: the per-build `Vec`s
 /// handed out inside [`BuiltTransaction`] come back through
-/// [`TxnScratch::recycle_members`] / [`TxnScratch::recycle_requests`] when the
-/// transaction completes.
+/// [`TxnScratch::recycle_members`] / [`TxnScratch::recycle_requests`] once the
+/// caller has copied out what it keeps.
 #[derive(Debug, Default)]
 pub struct TxnScratch {
     /// Pending-set indices accepted into the transaction, ascending (which is
@@ -124,17 +124,16 @@ impl TxnScratch {
 
     /// Pre-sizes every buffer to its structural bound so the scratch never
     /// grows on the hot path: `max_pending` bounds a chip's pending set (the
-    /// per-chip commitment cap), `max_fold` bounds a transaction's request
-    /// count (distinct (die, plane) pairs), and `txn_slots` bounds the number
-    /// of member buffers simultaneously checked out (live transactions, at
-    /// most one per chip plus one being built).
-    pub fn preallocate(&mut self, max_pending: usize, max_fold: usize, txn_slots: usize) {
+    /// per-chip commitment cap) and `max_fold` bounds a transaction's request
+    /// count (distinct (die, plane) pairs).  The caller returns both of a
+    /// build's buffers before the next build, so a pool of two covers it.
+    pub fn preallocate(&mut self, max_pending: usize, max_fold: usize) {
         self.accepted.reserve(max_pending);
         self.taken.reserve(max_fold);
         while self.request_pool.len() < 2 {
             self.request_pool.push(Vec::with_capacity(max_fold));
         }
-        while self.member_pool.len() < txn_slots + 1 {
+        while self.member_pool.len() < 2 {
             self.member_pool.push(Vec::with_capacity(max_fold));
         }
     }
@@ -144,6 +143,9 @@ impl TxnScratch {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FlashController {
     channel: usize,
+    ways: usize,
+    /// One pending set per chip (way), made on the first delivery: a channel
+    /// that is never used costs no allocation.
     pending: Vec<Vec<PendingRequest>>,
     delivered: u64,
     coalesced: u64,
@@ -154,7 +156,8 @@ impl FlashController {
     pub fn new(channel: usize, ways: usize) -> Self {
         FlashController {
             channel,
-            pending: (0..ways).map(|_| Vec::new()).collect(),
+            ways,
+            pending: Vec::new(),
             delivered: 0,
             coalesced: 0,
         }
@@ -177,6 +180,9 @@ impl FlashController {
             "request delivered to the wrong channel controller"
         );
         self.delivered += 1;
+        if self.pending.is_empty() {
+            self.pending.resize_with(self.ways, Vec::new);
+        }
         let queue = &mut self.pending[request.addr.way as usize];
         let key = request.service_key();
         let at = queue.partition_point(|pending| pending.service_key() < key);
@@ -186,12 +192,12 @@ impl FlashController {
 
     /// Number of requests pending for a chip (way) of this channel.
     pub fn pending_count(&self, way: usize) -> usize {
-        self.pending[way].len()
+        self.pending.get(way).map_or(0, Vec::len)
     }
 
     /// True when a chip has at least one pending request.
     pub fn has_pending(&self, way: usize) -> bool {
-        !self.pending[way].is_empty()
+        self.pending_count(way) > 0
     }
 
     /// Total pending requests across the channel.
@@ -237,7 +243,7 @@ impl FlashController {
         geometry: &FlashGeometry,
         scratch: &mut TxnScratch,
     ) -> Option<BuiltTransaction> {
-        let queue = &mut self.pending[way];
+        let queue = self.pending.get_mut(way)?;
         debug_assert!(in_service_order(queue), "pending set left service order");
         // The head of the service-ordered set is the seed: GC first, then
         // oldest delivery.
@@ -563,7 +569,8 @@ mod service_order_tests {
                     prop_assert_eq!(built.as_ref().map(built_selection), expected);
                     let mut remaining = reference.clone();
                     remaining.sort_by_key(PendingRequest::service_key);
-                    prop_assert_eq!(&controller.pending[0], &remaining);
+                    let pending = controller.pending.first().map_or(&[][..], Vec::as_slice);
+                    prop_assert_eq!(pending, remaining.as_slice());
                     if let Some(built) = built {
                         scratch.recycle_requests(built.txn.into_requests());
                         scratch.recycle_members(built.members);

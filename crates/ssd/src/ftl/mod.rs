@@ -61,7 +61,7 @@ pub struct WriteAllocation {
 /// assert_eq!(preview.channel, w.addr.channel);
 /// assert_eq!(preview.die, w.addr.die);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Ftl {
     geometry: FlashGeometry,
     map: PageMap,

@@ -4,6 +4,10 @@ use serde::{Deserialize, Serialize};
 
 /// Tracks per-block erase counts and summarizes wear across the SSD.
 ///
+/// The count column grows to the highest block erased so far, so a device
+/// that never collects garbage pays nothing for it; blocks past the column's
+/// end have never been erased.
+///
 /// # Example
 ///
 /// ```
@@ -19,6 +23,7 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WearTracker {
+    blocks: usize,
     counts: Vec<u32>,
     total: u64,
 }
@@ -27,25 +32,37 @@ impl WearTracker {
     /// Creates a tracker for `blocks` blocks, all with zero erases.
     pub fn new(blocks: usize) -> Self {
         WearTracker {
-            counts: vec![0; blocks],
+            blocks,
+            counts: Vec::new(),
             total: 0,
         }
     }
 
     /// Number of tracked blocks.
     pub fn blocks(&self) -> usize {
-        self.counts.len()
+        self.blocks
     }
 
     /// Records an erase of the block at `block_index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block_index` is not below [`WearTracker::blocks`].
     pub fn record_erase(&mut self, block_index: usize) {
+        assert!(
+            block_index < self.blocks,
+            "block {block_index} out of range"
+        );
+        if block_index >= self.counts.len() {
+            self.counts.resize(block_index + 1, 0);
+        }
         self.counts[block_index] += 1;
         self.total += 1;
     }
 
     /// Erase count of one block.
     pub fn count(&self, block_index: usize) -> u32 {
-        self.counts[block_index]
+        self.counts.get(block_index).copied().unwrap_or(0)
     }
 
     /// Total erases across all blocks.
@@ -60,15 +77,18 @@ impl WearTracker {
 
     /// Lowest per-block erase count.
     pub fn min(&self) -> u32 {
+        if self.counts.len() < self.blocks {
+            return 0;
+        }
         self.counts.iter().copied().min().unwrap_or(0)
     }
 
     /// Mean per-block erase count.
     pub fn mean(&self) -> f64 {
-        if self.counts.is_empty() {
+        if self.blocks == 0 {
             return 0.0;
         }
-        self.total as f64 / self.counts.len() as f64
+        self.total as f64 / self.blocks as f64
     }
 
     /// The wear imbalance: max − min erase count.  A perfectly wear-levelled SSD
@@ -107,6 +127,10 @@ mod tests {
         assert_eq!(wear.min(), 0);
         assert_eq!(wear.imbalance(), 2);
         assert!((wear.mean() - 0.75).abs() < 1e-12);
+        for block in 0..4 {
+            wear.record_erase(block);
+        }
+        assert_eq!(wear.min(), 1, "every block has now been erased");
     }
 
     #[test]

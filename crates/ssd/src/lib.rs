@@ -47,6 +47,7 @@ pub mod debug_invariants;
 pub mod dma;
 pub mod error;
 pub mod ftl;
+mod inflight;
 pub mod ledger;
 pub mod metrics;
 pub mod queue;

@@ -630,6 +630,13 @@ impl DeviceQueue {
                 self.read_lpn_insert(lpn, seq);
             }
         }
+        // Uncommitted read pages are candidate rows, so a read index sized to
+        // the candidate arena grows only when the arena itself does.
+        let rows = self.cand.capacity();
+        if self.read_lpn_index.capacity() < rows {
+            self.read_lpn_index
+                .reserve(rows - self.read_lpn_index.len());
+        }
         if state.host.fua {
             // Admission seqs are monotonic, so this is a push in practice.
             let pos = self.fua_pending.partition_point(|&s| s < seq);
@@ -914,6 +921,12 @@ impl DeviceQueue {
     /// CSR-style per-chip row ranges, and the seq/pri/lpn/slot columns.
     pub fn candidate_view(&self) -> CandidateView<'_> {
         self.cand.view()
+    }
+
+    /// Candidate rows the queue holds without allocating (see
+    /// [`CandidateIndex::capacity`]): a bound on any round's candidates.
+    pub fn candidate_capacity(&self) -> usize {
+        self.cand.capacity()
     }
 
     /// Slot column: admission sequence per slot handle.

@@ -9,7 +9,7 @@
 //! injects internal flash traffic and fires readdressing callbacks for schedulers
 //! that support them.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 use sprinkler_flash::{Chip, FlashOp, Lpn, ParallelismLevel, PhysicalPageAddr};
@@ -20,10 +20,13 @@ use crate::config::SsdConfig;
 use crate::controller::{FlashController, PendingRequest, TxnScratch};
 use crate::dma::DmaEngine;
 use crate::ftl::Ftl;
+use crate::inflight::{Entry, GcRole, InFlight};
 use crate::ledger::CommitmentLedger;
 use crate::metrics::{MetricsCollector, RunMetrics};
 use crate::queue::DeviceQueue;
-use crate::request::{Direction, HostRequest, MemReqId, MemReqPhase, MemoryRequest, TagId};
+use crate::request::{
+    Direction, HostRequest, MemReqId, MemReqPhase, MemoryRequest, Placement, TagId,
+};
 use crate::scheduler::{Commitment, IoScheduler, SchedulerContext};
 
 /// Simulation events.
@@ -37,42 +40,26 @@ enum SsdEvent {
     WriteDataReady(MemReqId),
     /// A chip's transaction decision window expired; try to build a transaction.
     ChipKick(usize),
-    /// The cell phase of a transaction finished; arbitrate its completion phase.
-    CellDone(u64),
-    /// A transaction (including its completion bus phase) finished.
-    TxnComplete(u64),
+    /// The cell phase of a chip's live transaction finished; arbitrate its
+    /// completion phase.
+    CellDone(usize),
+    /// A chip's live transaction (including its completion bus phase) finished.
+    TxnComplete(usize),
     /// Read data for a memory request finished returning to the host.
     ReadReturned(MemReqId),
 }
 
-/// A transaction currently executing on a chip.
+/// A transaction currently executing on a chip.  Its members sit in the
+/// chip's row of [`Ssd`]'s member slab, in transaction request order.
 #[derive(Debug)]
 struct LiveTransaction {
-    chip: usize,
     channel: usize,
-    members: Vec<MemReqId>,
     level: ParallelismLevel,
     request_count: usize,
     bus_time: Duration,
     cell_time: Duration,
     contention: Duration,
     completion_bus: Duration,
-}
-
-/// The role a memory request plays in a garbage-collection job.
-#[derive(Debug, Clone, Copy)]
-enum GcRole {
-    Read {
-        job: usize,
-        lpn: Lpn,
-        to: PhysicalPageAddr,
-    },
-    Program {
-        job: usize,
-    },
-    Erase {
-        job: usize,
-    },
 }
 
 /// One in-flight garbage-collection invocation.
@@ -119,13 +106,22 @@ pub struct Ssd {
     events: EventQueue<SsdEvent>,
 
     waiting_host: VecDeque<HostRequest>,
-    mem_requests: HashMap<MemReqId, MemoryRequest>,
+    /// Every in-flight memory request (host and GC) with its GC role; slots
+    /// are reused, so it holds the in-flight high-water mark, not the device
+    /// bound.
+    inflight: InFlight,
     /// Commitment/occupancy accounting, maintained incrementally (commit,
     /// completion, transaction start/end) so scheduling rounds never rebuild an
     /// O(chip count) view.  All cap enforcement and per-round counting lives in
     /// the ledger; see [`CommitmentLedger`] for the invariants.
     ledger: CommitmentLedger,
-    live_txns: HashMap<u64, LiveTransaction>,
+    /// The live transaction of each chip: at most one per chip, since a
+    /// transaction starts only on an idle chip.
+    live_txns: Vec<Option<LiveTransaction>>,
+    /// Members of each chip's live transaction: a fixed row of `fold` ids
+    /// per chip, where `fold` (dies × planes per chip) bounds a transaction.
+    txn_members: Vec<MemReqId>,
+    fold: usize,
     chip_kick_pending: Vec<bool>,
     schedule_pending: bool,
     /// Reusable commitment buffer for scheduling rounds (`schedule_into`).
@@ -142,13 +138,11 @@ pub struct Ssd {
     gc_jobs: Vec<GcJob>,
     /// Slots of `gc_jobs` whose job has finished.
     free_gc_jobs: Vec<usize>,
-    gc_roles: HashMap<MemReqId, GcRole>,
-    gc_active_planes: HashSet<usize>,
+    /// One bit per plane: set while a GC job collects the plane.
+    gc_active_planes: Vec<u64>,
     readdressed_lpns: HashSet<u64>,
 
     next_tag: u64,
-    next_mreq: u64,
-    next_txn: u64,
     failed_writes: u64,
 
     metrics: MetricsCollector,
@@ -193,27 +187,21 @@ impl Ssd {
         let total_chips = geometry.total_chips();
         // Pre-size the transaction scratch to its structural bounds so the
         // steady-state hot loop never grows it: a chip's pending set is capped
-        // by the per-chip commitment budget, a transaction folds at most one
-        // request per (die, plane), and at most one transaction per chip is
-        // live at a time.
+        // by the per-chip commitment budget, and a transaction folds at most
+        // one request per (die, plane).
+        let fold = geometry.dies_per_chip * geometry.planes_per_die;
         let mut txn_scratch = TxnScratch::new();
-        txn_scratch.preallocate(
-            config.max_committed_per_chip,
-            geometry.dies_per_chip * geometry.planes_per_die,
-            total_chips,
-        );
-        // In-flight memory requests are bounded by the commitment ledger
-        // (every committed page is at most one in-flight memory request), and
-        // at most one transaction per chip is live at a time.
-        let in_flight_bound = total_chips.saturating_mul(config.max_committed_per_chip);
+        txn_scratch.preallocate(config.max_committed_per_chip, fold);
         Ok(Ssd {
             dma: DmaEngine::new(config.dma_bytes_per_sec),
             queue: DeviceQueue::new(config.queue_depth),
             events: EventQueue::new(),
             waiting_host: VecDeque::new(),
-            mem_requests: HashMap::with_capacity(in_flight_bound),
+            inflight: InFlight::default(),
             ledger: CommitmentLedger::new(total_chips, config.max_committed_per_chip),
-            live_txns: HashMap::with_capacity(total_chips),
+            live_txns: (0..total_chips).map(|_| None).collect(),
+            txn_members: vec![MemReqId::default(); total_chips * fold],
+            fold,
             chip_kick_pending: vec![false; total_chips],
             schedule_pending: false,
             commit_buf: Vec::new(),
@@ -221,12 +209,9 @@ impl Ssd {
             telemetry,
             gc_jobs: Vec::new(),
             free_gc_jobs: Vec::new(),
-            gc_roles: HashMap::new(),
-            gc_active_planes: HashSet::new(),
+            gc_active_planes: vec![0; geometry.total_planes().div_ceil(64)],
             readdressed_lpns: HashSet::new(),
             next_tag: 0,
-            next_mreq: 0,
-            next_txn: 0,
             failed_writes: 0,
             metrics,
             record_series,
@@ -396,11 +381,11 @@ impl Ssd {
                 self.chip_kick_pending[chip] = false;
                 self.try_start_transaction(chip, now);
             }
-            SsdEvent::CellDone(txn_id) => {
-                self.handle_cell_done(txn_id, now);
+            SsdEvent::CellDone(chip) => {
+                self.handle_cell_done(chip, now);
             }
-            SsdEvent::TxnComplete(txn_id) => {
-                self.handle_txn_complete(txn_id, now);
+            SsdEvent::TxnComplete(chip) => {
+                self.handle_txn_complete(chip, now);
             }
             SsdEvent::ReadReturned(id) => {
                 self.complete_mem_request(id, now);
@@ -445,9 +430,11 @@ impl Ssd {
         TelemetryCounters::incr(&self.telemetry.sched_rounds);
         self.ledger.begin_round();
         // The commitment buffer is taken out of `self` for the borrow, reused
-        // every round (capacity sticks at the high-water mark).
+        // every round.  A round commits each candidate row at most once, so
+        // sized to the candidate arena it grows only when the arena does.
         let mut commitments = std::mem::take(&mut self.commit_buf);
         commitments.clear();
+        commitments.reserve(self.queue.candidate_capacity());
         {
             let ctx = SchedulerContext {
                 now,
@@ -491,20 +478,21 @@ impl Ssd {
             return;
         }
         self.ledger.commit(chip);
-        let id = MemReqId(self.next_mreq);
-        self.next_mreq += 1;
-        let request = MemoryRequest::new_host(
-            id,
-            tag_id,
-            page,
-            host.lpn_at(page),
-            host.direction,
-            placement,
-            now,
+        let id = self.inflight.insert(
+            |id| {
+                MemoryRequest::new_host(
+                    id,
+                    tag_id,
+                    page,
+                    host.lpn_at(page),
+                    host.direction,
+                    placement,
+                    now,
+                )
+            },
+            None,
         );
-        let is_write = host.direction.is_write();
-        self.mem_requests.insert(id, request);
-        if is_write {
+        if host.direction.is_write() {
             // Write payload must cross the host interface before the flash program
             // can be composed (memory request composition + data movement, Fig 3).
             let ready = self.dma.transfer(now, page_size);
@@ -519,7 +507,7 @@ impl Ssd {
     // ------------------------------------------------------------------
 
     fn deliver_to_controller(&mut self, id: MemReqId, now: SimTime) {
-        let Some(request) = self.mem_requests.get(&id) else {
+        let Some(Entry { request, .. }) = self.inflight.get(id) else {
             return;
         };
         let lpn = request.lpn;
@@ -559,11 +547,12 @@ impl Ssd {
             Duration::ZERO
         };
 
-        if let Some(request) = self.mem_requests.get_mut(&id) {
+        let mut tag = None;
+        if let Some(Entry { request, .. }) = self.inflight.get_mut(id) {
             request.phase = MemReqPhase::Pending;
             request.delivered_at = now;
+            tag = request.tag;
         }
-        let tag = self.mem_requests.get(&id).and_then(|r| r.tag);
         let pending = PendingRequest {
             id,
             addr,
@@ -612,55 +601,45 @@ impl Ssd {
             .expect("idle chip accepted the transaction");
         self.ledger.set_busy(chip_index, true);
 
-        for member in &built.members {
-            if let Some(request) = self.mem_requests.get_mut(member) {
+        let row = chip_index * self.fold;
+        for (slot, &member) in built.members.iter().enumerate() {
+            self.txn_members[row + slot] = member;
+            if let Some(Entry { request, .. }) = self.inflight.get_mut(member) {
                 request.phase = MemReqPhase::Executing;
             }
         }
-        let txn_id = self.next_txn;
-        self.next_txn += 1;
-        self.live_txns.insert(
-            txn_id,
-            LiveTransaction {
-                chip: chip_index,
-                channel: channel_index,
-                members: built.members,
-                level: built.txn.parallelism(),
-                request_count: built.txn.requests().len(),
-                bus_time: phase.issue_bus() + phase.completion_bus,
-                cell_time: phase.cell(),
-                contention: grant.waited,
-                completion_bus: phase.completion_bus,
-            },
-        );
-        // The transaction's request buffer goes back into the pool for the
-        // next build on this SSD.
+        self.live_txns[chip_index] = Some(LiveTransaction {
+            channel: channel_index,
+            level: built.txn.parallelism(),
+            request_count: built.txn.requests().len(),
+            bus_time: phase.issue_bus() + phase.completion_bus,
+            cell_time: phase.cell(),
+            contention: grant.waited,
+            completion_bus: phase.completion_bus,
+        });
+        // The member ids now live in the slab; both buffers go back into the
+        // pool for the next build on this SSD.
+        self.txn_scratch.recycle_members(built.members);
         self.txn_scratch.recycle_requests(built.txn.into_requests());
         self.events
-            .schedule(phase.cell_end, SsdEvent::CellDone(txn_id));
+            .schedule(phase.cell_end, SsdEvent::CellDone(chip_index));
     }
 
-    fn handle_cell_done(&mut self, txn_id: u64, now: SimTime) {
-        let (channel, completion_bus) = {
-            let Some(live) = self.live_txns.get(&txn_id) else {
-                return;
-            };
-            (live.channel, live.completion_bus)
-        };
-        let grant = self.channels[channel].acquire(now, completion_bus);
-        if let Some(live) = self.live_txns.get_mut(&txn_id) {
-            live.contention += grant.waited;
-        }
-        self.events
-            .schedule(grant.end, SsdEvent::TxnComplete(txn_id));
-    }
-
-    fn handle_txn_complete(&mut self, txn_id: u64, now: SimTime) {
-        let Some(live) = self.live_txns.remove(&txn_id) else {
+    fn handle_cell_done(&mut self, chip: usize, now: SimTime) {
+        let Some(live) = self.live_txns[chip].as_mut() else {
             return;
         };
-        self.chips[live.chip].complete_transaction(now);
-        self.ledger.set_busy(live.chip, false);
+        let grant = self.channels[live.channel].acquire(now, live.completion_bus);
+        live.contention += grant.waited;
+        self.events.schedule(grant.end, SsdEvent::TxnComplete(chip));
+    }
+
+    fn handle_txn_complete(&mut self, chip: usize, now: SimTime) {
+        let Some(live) = self.live_txns[chip].take() else {
+            return;
+        };
+        self.chips[chip].complete_transaction(now);
+        self.ledger.set_busy(chip, false);
         self.metrics.record_transaction(
             live.level,
             live.request_count,
@@ -669,34 +648,34 @@ impl Ssd {
             live.cell_time,
         );
         let page_size = self.config.page_size() as u64;
-        let members = live.members;
-        for &member in &members {
-            let Some(request) = self.mem_requests.get(&member) else {
+        // No transaction can start on this chip before the next `ChipKick`
+        // event, so its slab row stays intact for the whole loop.
+        let row = chip * self.fold;
+        for slot in row..row + live.request_count {
+            let member = self.txn_members[slot];
+            let Some(Entry { request, .. }) = self.inflight.get_mut(member) else {
                 continue;
             };
             if request.gc {
                 self.gc_request_done(member, now);
             } else if request.direction.is_read() {
                 // Read payload returns to the host through the DMA engine.
+                request.phase = MemReqPhase::Returning;
                 let done = self.dma.transfer(now, page_size);
-                if let Some(r) = self.mem_requests.get_mut(&member) {
-                    r.phase = MemReqPhase::Returning;
-                }
                 self.events.schedule(done, SsdEvent::ReadReturned(member));
             } else {
                 self.complete_mem_request(member, now);
             }
         }
-        self.txn_scratch.recycle_members(members);
-        let location = self.config.geometry.chip_location(live.chip);
+        let location = self.config.geometry.chip_location(chip);
         if self.controllers[location.channel as usize].has_pending(location.way as usize) {
-            self.schedule_chip_kick(live.chip, now);
+            self.schedule_chip_kick(chip, now);
         }
         self.request_schedule(now);
     }
 
     fn complete_mem_request(&mut self, id: MemReqId, now: SimTime) {
-        let Some(mut request) = self.mem_requests.remove(&id) else {
+        let Some(Entry { mut request, .. }) = self.inflight.remove(id) else {
             return;
         };
         request.phase = MemReqPhase::Complete;
@@ -754,13 +733,14 @@ impl Ssd {
     // ------------------------------------------------------------------
 
     fn start_gc(&mut self, plane: usize, now: SimTime) {
-        if self.gc_active_planes.contains(&plane) {
+        let (word, bit) = (plane / 64, 1u64 << (plane % 64));
+        if self.gc_active_planes[word] & bit != 0 {
             return;
         }
         let Some(plan) = self.ftl.collect_plane(plane) else {
             return;
         };
-        self.gc_active_planes.insert(plane);
+        self.gc_active_planes[word] |= bit;
         let job = GcJob {
             plane,
             outstanding_reads: 0,
@@ -792,24 +772,13 @@ impl Ssd {
         }
         // Valid pages are read first; their programs are issued as the reads finish.
         for migration in &plan.migrations {
-            let id = MemReqId(self.next_mreq);
-            self.next_mreq += 1;
-            let placement = crate::request::Placement::from_addr(
-                migration.from,
-                self.config.geometry.chips_per_channel,
-            );
-            let request = MemoryRequest::new_gc(id, migration.lpn, Direction::Read, placement, now);
-            self.mem_requests.insert(id, request);
-            self.gc_roles.insert(
-                id,
-                GcRole::Read {
-                    job: job_index,
-                    lpn: migration.lpn,
-                    to: migration.to,
-                },
-            );
+            let role = GcRole::Read {
+                job: job_index,
+                lpn: migration.lpn,
+                to: migration.to,
+            };
             self.gc_jobs[job_index].outstanding_reads += 1;
-            self.gc_delivery(id, migration.from, FlashOp::Read, now);
+            self.issue_gc(migration.lpn, Direction::Read, migration.from, role, now);
         }
         self.ftl.recycle_plan(plan);
         if self.gc_jobs[job_index].outstanding_reads == 0 {
@@ -840,27 +809,42 @@ impl Ssd {
         }
     }
 
+    /// Issues one GC memory request for `role` at `addr` and delivers it to
+    /// its controller.
+    fn issue_gc(
+        &mut self,
+        lpn: Lpn,
+        direction: Direction,
+        addr: PhysicalPageAddr,
+        role: GcRole,
+        now: SimTime,
+    ) {
+        let placement = Placement::from_addr(addr, self.config.geometry.chips_per_channel);
+        let id = self.inflight.insert(
+            |id| MemoryRequest::new_gc(id, lpn, direction, placement, now),
+            Some(role),
+        );
+        let op = match role {
+            GcRole::Read { .. } => FlashOp::Read,
+            GcRole::Program { .. } => FlashOp::Program,
+            GcRole::Erase { .. } => FlashOp::Erase,
+        };
+        self.gc_delivery(id, addr, op, now);
+    }
+
     fn gc_request_done(&mut self, id: MemReqId, now: SimTime) {
-        let Some(role) = self.gc_roles.remove(&id) else {
-            self.mem_requests.remove(&id);
+        let Some(Entry {
+            role: Some(role), ..
+        }) = self.inflight.remove(id)
+        else {
             return;
         };
-        self.mem_requests.remove(&id);
         match role {
             GcRole::Read { job, lpn, to } => {
                 self.gc_jobs[job].outstanding_reads -= 1;
                 // The read content is now re-programmed at its new home.
-                let prog_id = MemReqId(self.next_mreq);
-                self.next_mreq += 1;
-                let placement = crate::request::Placement::from_addr(
-                    to,
-                    self.config.geometry.chips_per_channel,
-                );
-                let request = MemoryRequest::new_gc(prog_id, lpn, Direction::Write, placement, now);
-                self.mem_requests.insert(prog_id, request);
-                self.gc_roles.insert(prog_id, GcRole::Program { job });
                 self.gc_jobs[job].outstanding_programs += 1;
-                self.gc_delivery(prog_id, to, FlashOp::Program, now);
+                self.issue_gc(lpn, Direction::Write, to, GcRole::Program { job }, now);
             }
             GcRole::Program { job } => {
                 self.gc_jobs[job].outstanding_programs -= 1;
@@ -875,7 +859,7 @@ impl Ssd {
                 // The erase is a job's last request: no role refers to the
                 // slot any more.
                 let plane = self.gc_jobs[job].plane;
-                self.gc_active_planes.remove(&plane);
+                self.gc_active_planes[plane / 64] &= !(1u64 << (plane % 64));
                 self.free_gc_jobs.push(job);
             }
         }
@@ -884,16 +868,8 @@ impl Ssd {
     fn issue_gc_erase(&mut self, job_index: usize, now: SimTime) {
         let erase_addr = self.gc_jobs[job_index].erase_addr;
         self.gc_jobs[job_index].erase_issued = true;
-        let id = MemReqId(self.next_mreq);
-        self.next_mreq += 1;
-        let placement = crate::request::Placement::from_addr(
-            erase_addr,
-            self.config.geometry.chips_per_channel,
-        );
-        let request = MemoryRequest::new_gc(id, Lpn::new(0), Direction::Write, placement, now);
-        self.mem_requests.insert(id, request);
-        self.gc_roles.insert(id, GcRole::Erase { job: job_index });
-        self.gc_delivery(id, erase_addr, FlashOp::Erase, now);
+        let role = GcRole::Erase { job: job_index };
+        self.issue_gc(Lpn::new(0), Direction::Write, erase_addr, role, now);
     }
 
     /// Number of writes that failed because the SSD ran out of physical space.
@@ -1082,13 +1058,45 @@ mod tests {
             invocations > 20 * planes as u64,
             "storm too mild: {invocations} GC invocations"
         );
-        assert!(ssd.gc_active_planes.is_empty(), "every GC job finished");
+        assert!(
+            ssd.gc_active_planes.iter().all(|&word| word == 0),
+            "every GC job finished"
+        );
         assert!(
             ssd.gc_jobs.len() <= planes,
             "{} job slots",
             ssd.gc_jobs.len()
         );
         assert_eq!(ssd.free_gc_jobs.len(), ssd.gc_jobs.len());
+    }
+
+    /// Under a GC storm the in-flight arena grows to the peak number of
+    /// simultaneously live memory requests and no further: every completed
+    /// request's slot is reused.
+    #[test]
+    fn gc_storm_arena_holds_the_in_flight_high_water_mark() {
+        let config = SsdConfig::small_test()
+            .with_blocks_per_plane(4)
+            .with_gc(GcConfig::enabled());
+        let mut ssd = Ssd::new(config, Box::new(CommitAllScheduler::new())).unwrap();
+        ssd.precondition(0.90, 7);
+        for i in 0..3_000 {
+            let request = write_req(i, i * 20, (i * 7) % 48, 1);
+            ssd.events
+                .schedule(request.arrival, SsdEvent::Arrival(request));
+        }
+        let mut peak = 0;
+        while let Some((now, event)) = ssd.events.pop() {
+            ssd.handle_event(now, event);
+            peak = peak.max(ssd.inflight.len());
+        }
+        assert!(
+            ssd.ftl.gc_stats().pages_migrated > 0,
+            "the storm migrated pages"
+        );
+        assert_eq!(ssd.inflight.len(), 0, "every memory request completed");
+        assert!(peak > 1);
+        assert_eq!(ssd.inflight.slot_count(), peak);
     }
 
     #[test]

@@ -16,8 +16,6 @@
 //!   (plane sharing), PAL2 (die interleaving), or PAL3 (both).
 //! * [`Chip`] — the chip state machine (R/B signalling, busy windows, and the die
 //!   and plane busy sums used for intra-chip idleness metrics).
-//! * [`Die`] / [`Plane`] — standalone per-die and per-plane activity records; a
-//!   [`Chip`] keeps only their sums.
 //! * [`CellArray`] — program/erase ordering ground truth (write pointers, erase
 //!   counts) used to validate FTL behaviour.
 //!
@@ -47,10 +45,8 @@ pub mod address;
 pub mod cell;
 pub mod chip;
 pub mod command;
-pub mod die;
 pub mod error;
 pub mod geometry;
-pub mod plane;
 pub mod timing;
 pub mod transaction;
 
@@ -58,9 +54,7 @@ pub use address::{ChipLocation, Lpn, PhysicalPageAddr, Ppn};
 pub use cell::CellArray;
 pub use chip::{Chip, ChipPhase};
 pub use command::{BusCycleKind, BusPhaseCounts, CommandSequence, FlashCommand};
-pub use die::Die;
 pub use error::FlashError;
 pub use geometry::FlashGeometry;
-pub use plane::Plane;
-pub use timing::{FlashTiming, OnfiMode, ProgramLatencyModel};
+pub use timing::{FlashTiming, OnfiMode};
 pub use transaction::{FlashOp, FlashTransaction, ParallelismLevel, TransactionBuilder};

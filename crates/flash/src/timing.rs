@@ -12,36 +12,26 @@ use sprinkler_sim::Duration;
 use crate::command::BusPhaseCounts;
 use crate::transaction::{FlashOp, FlashTransaction};
 
-/// ONFI interface speed grades.  The paper notes vendors ship ONFI 2.x rather than
-/// the 400 MHz interface even for PCIe SSDs.
+/// ONFI interface speed grade.  The paper notes vendors ship ONFI 2.x rather than
+/// the 400 MHz interface even for PCIe SSDs, and evaluates 166 MT/s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum OnfiMode {
-    /// Legacy asynchronous SDR interface (~33 MB/s).
-    Sdr33,
-    /// ONFI 2.x NV-DDR at 133 MT/s.
-    Ddr133,
-    /// ONFI 2.x NV-DDR at 166 MT/s (the default used in the evaluation).
+    /// ONFI 2.x NV-DDR at 166 MT/s (the grade used in the evaluation).
     Ddr166,
-    /// ONFI 2.x NV-DDR at 200 MT/s.
-    Ddr200,
 }
 
 impl OnfiMode {
     /// Interface throughput in bytes per second (8-bit bus).
     pub fn bytes_per_sec(self) -> u64 {
         match self {
-            OnfiMode::Sdr33 => 33_000_000,
-            OnfiMode::Ddr133 => 133_000_000,
             OnfiMode::Ddr166 => 166_000_000,
-            OnfiMode::Ddr200 => 200_000_000,
         }
     }
 
     /// Duration of a single command or address latch cycle on this interface.
     pub fn latch_cycle(self) -> Duration {
         match self {
-            OnfiMode::Sdr33 => Duration::from_nanos(100),
-            OnfiMode::Ddr133 | OnfiMode::Ddr166 | OnfiMode::Ddr200 => Duration::from_nanos(25),
+            OnfiMode::Ddr166 => Duration::from_nanos(25),
         }
     }
 
@@ -53,16 +43,6 @@ impl OnfiMode {
         let ns = bytes.saturating_mul(1_000_000_000) / self.bytes_per_sec();
         Duration::from_nanos(ns.max(1))
     }
-}
-
-/// How page program latency is assigned within a block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ProgramLatencyModel {
-    /// Every page programs in the same time (SLC-like behaviour).
-    Uniform,
-    /// MLC fast/slow page pairing: even page offsets are fast (LSB) pages, odd page
-    /// offsets are slow (MSB) pages, reproducing the 200–2,200 µs spread.
-    MlcPaired,
 }
 
 /// The complete timing description of the simulated flash package.
@@ -85,7 +65,6 @@ pub struct FlashTiming {
     read_latency: Duration,
     program_fast: Duration,
     program_slow: Duration,
-    program_model: ProgramLatencyModel,
     erase_latency: Duration,
     /// Fixed controller-side overhead to decide a transaction type before the
     /// execution sequence starts (the "transaction type decision time" of §2.2).
@@ -107,50 +86,9 @@ impl FlashTiming {
             read_latency: Duration::from_micros(20),
             program_fast: Duration::from_micros(200),
             program_slow: Duration::from_micros(2200),
-            program_model: ProgramLatencyModel::MlcPaired,
             erase_latency: Duration::from_micros(1500),
             decision_overhead: Duration::from_nanos(200),
         }
-    }
-
-    /// A uniform-latency variant useful for analytical tests (program latency fixed
-    /// at the fast-page value).
-    pub fn uniform() -> Self {
-        FlashTiming {
-            program_model: ProgramLatencyModel::Uniform,
-            ..Self::paper_default()
-        }
-    }
-
-    /// Returns a copy using a different ONFI interface speed.
-    pub fn with_bus_mode(mut self, mode: OnfiMode) -> Self {
-        self.bus_mode = mode;
-        self
-    }
-
-    /// Returns a copy with different program latencies.
-    pub fn with_program_latencies(mut self, fast: Duration, slow: Duration) -> Self {
-        self.program_fast = fast;
-        self.program_slow = slow;
-        self
-    }
-
-    /// Returns a copy with a different read latency.
-    pub fn with_read_latency(mut self, read: Duration) -> Self {
-        self.read_latency = read;
-        self
-    }
-
-    /// Returns a copy with a different erase latency.
-    pub fn with_erase_latency(mut self, erase: Duration) -> Self {
-        self.erase_latency = erase;
-        self
-    }
-
-    /// Returns a copy with a different program latency model.
-    pub fn with_program_model(mut self, model: ProgramLatencyModel) -> Self {
-        self.program_model = model;
-        self
     }
 
     /// The configured ONFI interface mode.
@@ -173,17 +111,14 @@ impl FlashTiming {
         self.decision_overhead
     }
 
-    /// Program latency for a page at `page_offset` within its block.
+    /// Program latency for a page at `page_offset` within its block.  MLC
+    /// fast/slow page pairing: even offsets are fast (LSB) pages, odd offsets are
+    /// slow (MSB) pages, reproducing the 200–2,200 µs spread.
     pub fn program_latency(&self, page_offset: u32) -> Duration {
-        match self.program_model {
-            ProgramLatencyModel::Uniform => self.program_fast,
-            ProgramLatencyModel::MlcPaired => {
-                if page_offset.is_multiple_of(2) {
-                    self.program_fast
-                } else {
-                    self.program_slow
-                }
-            }
+        if page_offset.is_multiple_of(2) {
+            self.program_fast
+        } else {
+            self.program_slow
         }
     }
 
@@ -275,9 +210,6 @@ mod tests {
 
     #[test]
     fn onfi_modes_have_sane_rates() {
-        assert!(OnfiMode::Sdr33.bytes_per_sec() < OnfiMode::Ddr133.bytes_per_sec());
-        assert!(OnfiMode::Ddr133.bytes_per_sec() < OnfiMode::Ddr166.bytes_per_sec());
-        assert!(OnfiMode::Ddr166.bytes_per_sec() < OnfiMode::Ddr200.bytes_per_sec());
         assert_eq!(OnfiMode::Ddr166.transfer_time(0), Duration::ZERO);
         // 2 KB page at 166 MB/s is roughly 12.3 us.
         let t = OnfiMode::Ddr166.transfer_time(2048);
@@ -295,26 +227,6 @@ mod tests {
         assert_eq!(t.program_latency(3), Duration::from_micros(2200));
         assert_eq!(t.erase_latency(), Duration::from_micros(1500));
         assert_eq!(t.bus_mode(), OnfiMode::Ddr166);
-    }
-
-    #[test]
-    fn uniform_model_ignores_page_offset() {
-        let t = FlashTiming::uniform();
-        assert_eq!(t.program_latency(0), t.program_latency(1));
-    }
-
-    #[test]
-    fn builder_style_modifiers() {
-        let t = FlashTiming::paper_default()
-            .with_bus_mode(OnfiMode::Ddr200)
-            .with_read_latency(Duration::from_micros(25))
-            .with_erase_latency(Duration::from_micros(2000))
-            .with_program_latencies(Duration::from_micros(300), Duration::from_micros(900))
-            .with_program_model(ProgramLatencyModel::Uniform);
-        assert_eq!(t.bus_mode(), OnfiMode::Ddr200);
-        assert_eq!(t.read_latency(), Duration::from_micros(25));
-        assert_eq!(t.erase_latency(), Duration::from_micros(2000));
-        assert_eq!(t.program_latency(7), Duration::from_micros(300));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! This crate provides the time base, the event queue, deterministic random number
 //! generation, and the statistics accumulators that the NAND flash model
-//! ([`sprinkler-flash`]), the SSD substrate ([`sprinkler-ssd`]), and the experiment
+//! (`sprinkler_flash`), the SSD substrate (`sprinkler_ssd`), and the experiment
 //! harness build on.
 //!
 //! The simulation is event driven with nanosecond resolution.  All components share
@@ -29,9 +29,6 @@
 //! assert_eq!(e2, Ev::Pong);
 //! assert!(q.pop().is_none());
 //! ```
-//!
-//! [`sprinkler-flash`]: https://example.com/sprinkler
-//! [`sprinkler-ssd`]: https://example.com/sprinkler
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -44,7 +41,7 @@ pub mod time;
 
 pub use event::EventQueue;
 pub use rng::{DeterministicRng, SplitMix64};
-pub use stats::{Counter, Histogram, MeanStat, RateTracker, Summary, TimeWeighted};
+pub use stats::{Histogram, MeanStat};
 pub use telemetry::{
     alloc_count, bytes_allocated, panic_on_alloc, AllocScope, CountingAllocator, TelemetryCounters,
     TelemetrySnapshot,

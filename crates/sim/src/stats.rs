@@ -1,53 +1,11 @@
 //! Statistics accumulators used by the SSD metrics layer and the experiment harness.
 //!
-//! These are intentionally simple, allocation-light accumulators: counters,
-//! mean/variance trackers, time-weighted values (for occupancy-style metrics such as
-//! chip busy fraction), fixed-bucket histograms, and throughput trackers.
+//! These are intentionally simple, allocation-light accumulators: a mean/min/max
+//! tracker and fixed-bucket histograms.
 
 use serde::{Deserialize, Serialize};
 
-use crate::time::{Duration, SimTime};
-
-/// A plain monotonically increasing event counter.
-///
-/// # Example
-///
-/// ```
-/// use sprinkler_sim::Counter;
-///
-/// let mut c = Counter::new();
-/// c.add(3);
-/// c.incr();
-/// assert_eq!(c.value(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `n` to the counter.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Adds one to the counter.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Current value.
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-}
-
-/// Online mean / min / max / variance tracker (Welford's algorithm).
+/// Online mean / min / max tracker.
 ///
 /// # Example
 ///
@@ -65,7 +23,6 @@ impl Counter {
 pub struct MeanStat {
     count: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
     sum: f64,
@@ -90,7 +47,6 @@ impl MeanStat {
         self.sum += x;
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
     }
 
     /// Number of recorded observations.
@@ -110,20 +66,6 @@ impl MeanStat {
         } else {
             self.mean
         }
-    }
-
-    /// Population variance, or 0 when fewer than two observations.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     /// Smallest observation, or 0 when empty.
@@ -156,180 +98,11 @@ impl MeanStat {
         let combined = self.count + other.count;
         let delta = other.mean - self.mean;
         let new_mean = self.mean + delta * other.count as f64 / combined as f64;
-        let new_m2 = self.m2
-            + other.m2
-            + delta * delta * self.count as f64 * other.count as f64 / combined as f64;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
         self.sum += other.sum;
         self.count = combined;
         self.mean = new_mean;
-        self.m2 = new_m2;
-    }
-
-    /// Converts to an immutable [`Summary`].
-    pub fn summary(&self) -> Summary {
-        Summary {
-            count: self.count,
-            mean: self.mean(),
-            std_dev: self.std_dev(),
-            min: self.min(),
-            max: self.max(),
-            sum: self.sum(),
-        }
-    }
-}
-
-/// An immutable snapshot of a [`MeanStat`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct Summary {
-    /// Number of observations.
-    pub count: u64,
-    /// Mean value.
-    pub mean: f64,
-    /// Population standard deviation.
-    pub std_dev: f64,
-    /// Minimum value.
-    pub min: f64,
-    /// Maximum value.
-    pub max: f64,
-    /// Sum of values.
-    pub sum: f64,
-}
-
-/// Tracks a piecewise-constant value over simulated time and reports its
-/// time-weighted average; also usable as a busy/idle accumulator.
-///
-/// # Example
-///
-/// ```
-/// use sprinkler_sim::{TimeWeighted, SimTime};
-///
-/// let mut occupancy = TimeWeighted::new(SimTime::ZERO, 0.0);
-/// occupancy.set(SimTime::from_nanos(100), 1.0);
-/// occupancy.set(SimTime::from_nanos(300), 0.0);
-/// // 0 for 100ns then 1 for 200ns => average over 300ns is 2/3.
-/// assert!((occupancy.time_average(SimTime::from_nanos(300)) - 2.0 / 3.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TimeWeighted {
-    last_change: SimTime,
-    current: f64,
-    weighted_sum: f64,
-    start: SimTime,
-}
-
-impl TimeWeighted {
-    /// Creates a tracker with the given initial value at `start`.
-    pub fn new(start: SimTime, initial: f64) -> Self {
-        TimeWeighted {
-            last_change: start,
-            current: initial,
-            weighted_sum: 0.0,
-            start,
-        }
-    }
-
-    /// Updates the value at time `now`.
-    pub fn set(&mut self, now: SimTime, value: f64) {
-        let dt = now.saturating_since(self.last_change);
-        self.weighted_sum += self.current * dt.as_nanos() as f64;
-        self.last_change = self.last_change.max(now);
-        self.current = value;
-    }
-
-    /// Adds `delta` to the current value at time `now`.
-    pub fn add(&mut self, now: SimTime, delta: f64) {
-        let next = self.current + delta;
-        self.set(now, next);
-    }
-
-    /// The current value.
-    pub fn current(&self) -> f64 {
-        self.current
-    }
-
-    /// Time-weighted average of the value from the start of tracking until `now`.
-    pub fn time_average(&self, now: SimTime) -> f64 {
-        let total = now.saturating_since(self.start).as_nanos() as f64;
-        if total <= 0.0 {
-            return self.current;
-        }
-        let tail = now.saturating_since(self.last_change).as_nanos() as f64;
-        (self.weighted_sum + self.current * tail) / total
-    }
-
-    /// The integral of the value over time (value × nanoseconds) until `now`.
-    pub fn integral(&self, now: SimTime) -> f64 {
-        let tail = now.saturating_since(self.last_change).as_nanos() as f64;
-        self.weighted_sum + self.current * tail
-    }
-}
-
-/// Accumulates busy time for a binary busy/idle resource.
-///
-/// # Example
-///
-/// ```
-/// use sprinkler_sim::{SimTime, Duration};
-/// use sprinkler_sim::stats::BusyTracker;
-///
-/// let mut b = BusyTracker::new();
-/// b.mark_busy(SimTime::from_nanos(10));
-/// b.mark_idle(SimTime::from_nanos(30));
-/// assert_eq!(b.busy_time(), Duration::from_nanos(20));
-/// assert!(!b.is_busy());
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BusyTracker {
-    busy_since: Option<SimTime>,
-    busy_total: Duration,
-    transitions: u64,
-}
-
-impl BusyTracker {
-    /// Creates an idle tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Marks the resource busy at `now`; a no-op if already busy.
-    pub fn mark_busy(&mut self, now: SimTime) {
-        if self.busy_since.is_none() {
-            self.busy_since = Some(now);
-            self.transitions += 1;
-        }
-    }
-
-    /// Marks the resource idle at `now`, accumulating the elapsed busy period; a
-    /// no-op if already idle.
-    pub fn mark_idle(&mut self, now: SimTime) {
-        if let Some(since) = self.busy_since.take() {
-            self.busy_total += now.saturating_since(since);
-        }
-    }
-
-    /// Returns `true` while the resource is marked busy.
-    pub fn is_busy(&self) -> bool {
-        self.busy_since.is_some()
-    }
-
-    /// Total accumulated busy time (not counting an open busy period).
-    pub fn busy_time(&self) -> Duration {
-        self.busy_total
-    }
-
-    /// Total busy time including any open busy period, evaluated at `now`.
-    pub fn busy_time_at(&self, now: SimTime) -> Duration {
-        match self.busy_since {
-            Some(since) => self.busy_total + now.saturating_since(since),
-            None => self.busy_total,
-        }
-    }
-
-    /// Number of idle→busy transitions observed.
-    pub fn busy_periods(&self) -> u64 {
-        self.transitions
     }
 }
 
@@ -495,88 +268,9 @@ impl Histogram {
     }
 }
 
-/// Tracks totals over a run and converts them to rates (bandwidth, IOPS).
-///
-/// # Example
-///
-/// ```
-/// use sprinkler_sim::{RateTracker, SimTime};
-///
-/// let mut r = RateTracker::new();
-/// r.record_bytes(4096);
-/// r.record_ops(1);
-/// let bw = r.bytes_per_sec(SimTime::from_micros(1));
-/// assert!((bw - 4.096e9).abs() < 1.0);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RateTracker {
-    bytes: u64,
-    ops: u64,
-}
-
-impl RateTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds transferred bytes.
-    pub fn record_bytes(&mut self, n: u64) {
-        self.bytes += n;
-    }
-
-    /// Adds completed operations.
-    pub fn record_ops(&mut self, n: u64) {
-        self.ops += n;
-    }
-
-    /// Total bytes recorded.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Total operations recorded.
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    /// Bytes per second over the elapsed simulated time.
-    pub fn bytes_per_sec(&self, elapsed: SimTime) -> f64 {
-        let secs = elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.bytes as f64 / secs
-        }
-    }
-
-    /// Kilobytes per second over the elapsed simulated time (the unit of Fig 10a).
-    pub fn kb_per_sec(&self, elapsed: SimTime) -> f64 {
-        self.bytes_per_sec(elapsed) / 1024.0
-    }
-
-    /// Operations per second over the elapsed simulated time.
-    pub fn ops_per_sec(&self, elapsed: SimTime) -> f64 {
-        let secs = elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.ops as f64 / secs
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(9);
-        assert_eq!(c.value(), 10);
-    }
 
     #[test]
     fn mean_stat_basic() {
@@ -588,7 +282,6 @@ mod tests {
         }
         assert_eq!(m.count(), 4);
         assert!((m.mean() - 2.5).abs() < 1e-12);
-        assert!((m.variance() - 1.25).abs() < 1e-12);
         assert_eq!(m.min(), 1.0);
         assert_eq!(m.max(), 4.0);
         assert_eq!(m.sum(), 10.0);
@@ -612,7 +305,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), whole.count());
         assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
         assert_eq!(a.min(), whole.min());
         assert_eq!(a.max(), whole.max());
     }
@@ -628,63 +320,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 1);
         assert_eq!(a.mean(), 5.0);
-    }
-
-    #[test]
-    fn summary_reflects_stat() {
-        let mut m = MeanStat::new();
-        m.record(2.0);
-        m.record(6.0);
-        let s = m.summary();
-        assert_eq!(s.count, 2);
-        assert_eq!(s.mean, 4.0);
-        assert_eq!(s.min, 2.0);
-        assert_eq!(s.max, 6.0);
-        assert_eq!(s.sum, 8.0);
-    }
-
-    #[test]
-    fn time_weighted_average() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
-        tw.set(SimTime::from_nanos(50), 2.0);
-        tw.set(SimTime::from_nanos(150), 0.0);
-        // 0 for 50ns, 2 for 100ns, 0 for 50ns over 200ns => 1.0
-        assert!((tw.time_average(SimTime::from_nanos(200)) - 1.0).abs() < 1e-12);
-        assert!((tw.integral(SimTime::from_nanos(200)) - 200.0).abs() < 1e-9);
-        assert_eq!(tw.current(), 0.0);
-    }
-
-    #[test]
-    fn time_weighted_add() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 1.0);
-        tw.add(SimTime::from_nanos(100), 1.0);
-        assert_eq!(tw.current(), 2.0);
-        // 1 for first 100ns, 2 for next 100ns => avg 1.5
-        assert!((tw.time_average(SimTime::from_nanos(200)) - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_zero_elapsed_returns_current() {
-        let tw = TimeWeighted::new(SimTime::from_nanos(10), 3.0);
-        assert_eq!(tw.time_average(SimTime::from_nanos(10)), 3.0);
-    }
-
-    #[test]
-    fn busy_tracker_accumulates_periods() {
-        let mut b = BusyTracker::new();
-        assert!(!b.is_busy());
-        b.mark_busy(SimTime::from_nanos(10));
-        assert!(b.is_busy());
-        b.mark_busy(SimTime::from_nanos(15)); // no-op
-        b.mark_idle(SimTime::from_nanos(20));
-        b.mark_idle(SimTime::from_nanos(25)); // no-op
-        b.mark_busy(SimTime::from_nanos(30));
-        assert_eq!(b.busy_time(), Duration::from_nanos(10));
-        assert_eq!(
-            b.busy_time_at(SimTime::from_nanos(40)),
-            Duration::from_nanos(20)
-        );
-        assert_eq!(b.busy_periods(), 2);
     }
 
     #[test]
@@ -770,20 +405,5 @@ mod tests {
         let h = Histogram::with_bounds(&[10]);
         assert_eq!(h.quantile(0.5), 0);
         assert_eq!(h.mean(), 0.0);
-    }
-
-    #[test]
-    fn rate_tracker_rates() {
-        let mut r = RateTracker::new();
-        r.record_bytes(2048);
-        r.record_ops(2);
-        let t = SimTime::from_micros(2);
-        assert!((r.bytes_per_sec(t) - 1.024e9).abs() < 1.0);
-        assert!((r.kb_per_sec(t) - 1.0e6).abs() < 1.0);
-        assert!((r.ops_per_sec(t) - 1.0e6).abs() < 1.0);
-        assert_eq!(r.bytes(), 2048);
-        assert_eq!(r.ops(), 2);
-        assert_eq!(r.bytes_per_sec(SimTime::ZERO), 0.0);
-        assert_eq!(r.ops_per_sec(SimTime::ZERO), 0.0);
     }
 }

@@ -45,7 +45,6 @@ pub mod config;
 pub mod controller;
 pub mod debug_invariants;
 pub mod dma;
-pub mod error;
 pub mod ftl;
 mod inflight;
 pub mod ledger;
@@ -58,7 +57,6 @@ pub mod ssd;
 pub use cand::{pack_pri, pri_die, pri_page, pri_plane, CandidateView};
 pub use config::{AllocationPolicy, GcConfig, SsdConfig};
 pub use debug_invariants::{validate_context, validate_round};
-pub use error::SsdError;
 pub use ledger::{ChipOccupancy, CommitmentLedger};
 pub use metrics::{
     latency_bucket_bounds, merged_latency_quantile, weighted_mean_latency_ns, ExecutionBreakdown,

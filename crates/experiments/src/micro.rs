@@ -22,7 +22,7 @@ use std::time::Instant;
 use sprinkler_core::reference::ReferenceScheduler;
 use sprinkler_core::SchedulerKind;
 use sprinkler_flash::{FlashGeometry, Lpn};
-use sprinkler_sim::SimTime;
+use sprinkler_sim::{DeterministicRng, Duration, EventQueue, SimTime};
 use sprinkler_ssd::queue::DeviceQueue;
 use sprinkler_ssd::request::{Direction, HostRequest, Placement, TagId};
 use sprinkler_ssd::scheduler::{IoScheduler, SchedulerContext};
@@ -160,6 +160,7 @@ pub const REGISTRY: &[TimedBody] = &[
     timed("fig14/spk1_run", &[print_fig14], || {
         body(|| representative_run(SchedulerKind::Spk1))
     }),
+    timed("event_queue/device_mix_100k", &[], event_queue_mix),
     timed("table1/generate_cfs0_trace", &[print_table1], || {
         let specs = paper_workloads();
         body(move || specs[0].generate(500, 1))
@@ -287,6 +288,75 @@ fn round(mut scheduler: Box<dyn IoScheduler>, chips: usize) -> Box<dyn FnMut()> 
             ledger: &ledger,
         })
     })
+}
+
+/// An event of [`event_mix`], as small as the simulator's own (16 B).
+#[derive(Debug, Clone, Copy)]
+enum MixEvent {
+    CellDone(usize),
+    TxnComplete(usize),
+    Schedule,
+    DmaDone(usize),
+    ChipKick(usize),
+}
+
+/// Lanes of [`event_mix`]'s queue, mirroring the simulator's.
+const MIX_SCHEDULE: usize = 0;
+const MIX_KICK: usize = 1;
+const MIX_DMA: usize = 2;
+
+/// Replays `events` pops of a closed loop of 256 chips shaped like a
+/// device's event stream: a cell phase ends at a random time and its bus
+/// phase a little later (both through the heap), the completion asks for a
+/// scheduling round now and a transfer on one serial DMA engine, and the
+/// transfer's end kicks the chip one decision window later.  Two of every
+/// five events go through the heap, as in a saturated replay.  Returns the
+/// final clock.
+fn event_mix(queue: &mut EventQueue<MixEvent, 3>, delays: &[u64], events: usize) -> SimTime {
+    const CHIPS: usize = 256;
+    let window = Duration::from_micros(1);
+    let bus = Duration::from_nanos(1_300);
+    let transfer = Duration::from_nanos(1_280);
+    queue.clear();
+    let start = queue.now();
+    for chip in 0..CHIPS {
+        let delay = Duration::from_nanos(delays[chip % delays.len()]);
+        queue.schedule(start + delay, MixEvent::CellDone(chip));
+    }
+    let mut dma_free = start;
+    for i in 0..events {
+        let Some((now, event)) = queue.pop() else {
+            break;
+        };
+        match event {
+            MixEvent::CellDone(chip) => queue.schedule(now + bus, MixEvent::TxnComplete(chip)),
+            MixEvent::TxnComplete(chip) => {
+                dma_free = dma_free.max(now) + transfer;
+                queue.schedule_in_lane(MIX_DMA, dma_free, MixEvent::DmaDone(chip));
+                queue.schedule_in_lane(MIX_SCHEDULE, now, MixEvent::Schedule);
+            }
+            MixEvent::DmaDone(chip) => {
+                queue.schedule_in_lane(MIX_KICK, now + window, MixEvent::ChipKick(chip));
+            }
+            MixEvent::ChipKick(chip) => {
+                let delay = Duration::from_nanos(delays[i % delays.len()]);
+                queue.schedule(now + delay, MixEvent::CellDone(chip));
+            }
+            MixEvent::Schedule => {}
+        }
+    }
+    queue.now()
+}
+
+/// The event queue alone: 100k pops of [`event_mix`], with the random cell
+/// times drawn once up front so the body times the queue, not the generator.
+fn event_queue_mix() -> Box<dyn FnMut()> {
+    let mut rng = DeterministicRng::seeded(0xE7E);
+    let delays: Vec<u64> = (0..4_096)
+        .map(|_| 20_000 + rng.uniform_u64(200_000))
+        .collect();
+    let mut queue = EventQueue::with_lanes();
+    body(move || event_mix(&mut queue, &delays, 100_000))
 }
 
 fn array_scaleout(devices: usize) -> Box<dyn FnMut()> {
@@ -524,6 +594,19 @@ mod tests {
         assert_eq!(queue.total_uncommitted_pages(), 32 * 4);
         assert_eq!(ledger.chip_count(), 256);
         assert_eq!(ledger.max_committed_per_chip(), 32);
+    }
+
+    #[test]
+    fn event_mix_routes_three_in_five_events_to_lanes() {
+        let mut rng = DeterministicRng::seeded(1);
+        let delays: Vec<u64> = (0..64).map(|_| 20_000 + rng.uniform_u64(200_000)).collect();
+        let mut queue = EventQueue::with_lanes();
+        let end = event_mix(&mut queue, &delays, 20_000);
+        assert!(end > SimTime::ZERO);
+        let stats = queue.lane_stats();
+        assert_eq!(stats.fell_back, 0, "every lane push is in order");
+        let share = stats.laned as f64 / stats.scheduled as f64;
+        assert!((0.55..0.62).contains(&share), "laned share {share:.3}");
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod stats;
 pub mod telemetry;
 pub mod time;
 
-pub use event::EventQueue;
+pub use event::{EventQueue, LaneStats};
 pub use rng::{DeterministicRng, SplitMix64};
 pub use stats::{Histogram, MeanStat};
 pub use telemetry::{

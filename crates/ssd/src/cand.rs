@@ -118,6 +118,11 @@ pub struct CandidateIndex {
     extents: Vec<Extent>,
     /// Sorted chip indices with at least one live row.
     active: Vec<u32>,
+    /// Chips whose extent holds arena capacity (`cap > 0`), unordered: a
+    /// superset of `active` that also names the emptied extents compaction
+    /// must reset.  Compaction resets it to `active`, so it never outgrows
+    /// its high-water capacity.
+    held: Vec<u32>,
     /// Live rows across all extents.
     live: u32,
     /// Compaction spares: the arena is rewritten into these and the buffers
@@ -289,6 +294,9 @@ impl CandidateIndex {
             }
         }
         let ext = self.extents[chip];
+        if ext.cap == 0 {
+            self.held.push(chip as u32);
+        }
         let new_cap = (ext.cap * 2).max(MIN_EXTENT_CAP);
         let new_start = self.col_seq.len();
         self.col_seq.resize(new_start + new_cap as usize, 0);
@@ -334,19 +342,20 @@ impl CandidateIndex {
 
     /// Arena rows after a compaction.
     fn compacted_len(&self) -> usize {
-        self.extents
+        self.active
             .iter()
-            .filter(|ext| ext.len > 0)
-            .map(|ext| {
-                let len = ext.len as usize;
+            .map(|&chip| {
+                let len = self.extents[chip as usize].len as usize;
                 len + len / 2 + 2
             })
             .sum()
     }
 
     /// Rewrites every live extent tightly (with 50% slack) into the spare
-    /// buffers and swaps them in.  O(live rows + chips), allocation-free once
-    /// the spares have reached the arena's high-water capacity.
+    /// buffers, in chip order, and swaps them in; emptied extents that still
+    /// hold capacity are reset.  O(live rows + chips holding capacity), not
+    /// O(chips), and allocation-free once the spares have reached the arena's
+    /// high-water capacity.
     fn compact(&mut self) {
         let total = self.compacted_len();
         self.spare_seq.clear();
@@ -364,17 +373,24 @@ impl CandidateIndex {
             col_lpn,
             col_slot,
             extents,
+            active,
+            held,
             spare_seq,
             spare_pri,
             spare_lpn,
             spare_slot,
             ..
         } = self;
-        for ext in extents.iter_mut() {
+        for &chip in held.iter() {
+            let ext = &mut extents[chip as usize];
             if ext.len == 0 {
                 *ext = Extent::default();
-                continue;
             }
+        }
+        held.clear();
+        held.extend_from_slice(active);
+        for &chip in active.iter() {
+            let ext = &mut extents[chip as usize];
             let (start, len) = (ext.start as usize, ext.len as usize);
             let cap = len + len / 2 + 2;
             spare_seq[cursor..cursor + len].copy_from_slice(&col_seq[start..start + len]);
@@ -444,6 +460,89 @@ mod tests {
         index.remove(0, 1, pack_pri(0, 0, 0));
         index.remove(9, 1, pack_pri(0, 0, 0));
         assert_eq!(index.len(), 1);
+    }
+
+    /// The compaction this index used before it tracked `held`: a walk over
+    /// every extent, resetting the empty ones and laying the live ones out in
+    /// chip order.
+    fn compact_by_walking_every_extent(index: &mut CandidateIndex) {
+        let total: usize = index
+            .extents
+            .iter()
+            .filter(|ext| ext.len > 0)
+            .map(|ext| ext.len as usize + ext.len as usize / 2 + 2)
+            .sum();
+        let mut columns = (
+            vec![0u64; total],
+            vec![0u32; total],
+            vec![0u64; total],
+            vec![0u32; total],
+        );
+        let mut cursor = 0usize;
+        for ext in index.extents.iter_mut() {
+            if ext.len == 0 {
+                *ext = Extent::default();
+                continue;
+            }
+            let (start, len) = (ext.start as usize, ext.len as usize);
+            let rows = start..start + len;
+            columns.0[cursor..cursor + len].copy_from_slice(&index.col_seq[rows.clone()]);
+            columns.1[cursor..cursor + len].copy_from_slice(&index.col_pri[rows.clone()]);
+            columns.2[cursor..cursor + len].copy_from_slice(&index.col_lpn[rows.clone()]);
+            columns.3[cursor..cursor + len].copy_from_slice(&index.col_slot[rows]);
+            let cap = len + len / 2 + 2;
+            *ext = Extent {
+                start: cursor as u32,
+                len: len as u32,
+                cap: cap as u32,
+            };
+            cursor += cap;
+        }
+        (index.col_seq, index.col_pri, index.col_lpn, index.col_slot) = columns;
+    }
+
+    /// Compacting through `active` and `held` lays the arena out row for row
+    /// as the walk over all 1024 extents did, at every point of a random
+    /// insert/remove churn.
+    #[test]
+    fn compaction_matches_the_walk_over_every_extent() {
+        use sprinkler_sim::DeterministicRng;
+        const CHIPS: u64 = 1024;
+        let mut rng = DeterministicRng::seeded(0xCA4D);
+        let mut index = CandidateIndex::new();
+        let mut live: Vec<(usize, u64, u32)> = Vec::new();
+        for seq in 0..40_000u64 {
+            // Bursts of inserts on a few hot chips, then drains, so extents
+            // grow, relocate, empty and refill between compactions.
+            let insert = live.is_empty() || rng.uniform_u64(100) < 52;
+            if insert {
+                let chip = if rng.bernoulli(0.7) {
+                    rng.uniform_u64(16)
+                } else {
+                    rng.uniform_u64(CHIPS)
+                } as usize;
+                let pri = pack_pri(rng.uniform_u64(64) as u32, 0, 0);
+                index.insert(chip, seq, pri, seq * 3, seq as u32);
+                live.push((chip, seq, pri));
+            } else {
+                let (chip, seq, pri) = live.swap_remove(rng.uniform_usize(live.len()));
+                index.remove(chip, seq, pri);
+            }
+            if seq % 97 == 0 {
+                let mut walked = index.clone();
+                compact_by_walking_every_extent(&mut walked);
+                index.compact();
+                assert_eq!(index.extents, walked.extents, "after op {seq}");
+                assert_eq!(index.col_seq, walked.col_seq, "after op {seq}");
+                assert_eq!(index.col_pri, walked.col_pri, "after op {seq}");
+                assert_eq!(index.col_lpn, walked.col_lpn, "after op {seq}");
+                assert_eq!(index.col_slot, walked.col_slot, "after op {seq}");
+                let mut held = index.held.clone();
+                held.sort_unstable();
+                assert_eq!(held, index.active, "compaction resets held to active");
+            }
+        }
+        assert_eq!(index.len(), live.len());
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! the logical footprint a workload actually touches.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 use sprinkler_flash::{Lpn, Ppn};
@@ -25,8 +26,38 @@ use sprinkler_flash::{Lpn, Ppn};
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PageMap {
-    l2p: HashMap<u64, u64>,
-    p2l: HashMap<u64, u64>,
+    l2p: HashMap<u64, u64, MixState>,
+    p2l: HashMap<u64, u64, MixState>,
+}
+
+/// Hashes the maps' `u64` page numbers with the SplitMix64 finalizer: a fixed,
+/// keyless mixer that spreads sequential page numbers over the whole word at
+/// a fraction of SipHash's cost, and makes map iteration order the same in
+/// every process.  Logical page numbers can come from a trace file, so a
+/// trace crafted to collide could slow the map; it would only slow its own
+/// replay, and the FTL never iterates the map on a path that sets a figure.
+type MixState = BuildHasherDefault<Mix64>;
+
+#[derive(Debug, Default)]
+struct Mix64(u64);
+
+impl Hasher for Mix64 {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(byte);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+
+    fn finish(&self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
 }
 
 impl PageMap {
@@ -139,5 +170,18 @@ mod tests {
         assert_eq!(pairs.len(), 10);
         assert_eq!(pairs[0], (0, 1000));
         assert_eq!(pairs[9], (9, 1009));
+    }
+
+    #[test]
+    fn iteration_order_depends_only_on_the_mappings() {
+        let build = || {
+            let mut map = PageMap::new();
+            for i in 0..500 {
+                map.map(Lpn::new(i * 7), Ppn::new(i));
+            }
+            map
+        };
+        let (a, b) = (build(), build());
+        assert!(a.iter().eq(b.iter()));
     }
 }

@@ -29,11 +29,10 @@ use crate::request::{
 };
 use crate::scheduler::{Commitment, IoScheduler, SchedulerContext};
 
-/// Simulation events.
+/// Simulation events.  Host arrivals are not events: the replay loop hands
+/// each one to [`Ssd::handle_arrival`] when it is due.
 #[derive(Debug)]
 enum SsdEvent {
-    /// A host I/O request arrives at the SSD.
-    Arrival(HostRequest),
     /// Run the scheduler.
     Schedule,
     /// Host write data for a memory request finished crossing the DMA engine.
@@ -48,6 +47,26 @@ enum SsdEvent {
     /// Read data for a memory request finished returning to the host.
     ReadReturned(MemReqId),
 }
+
+/// The FIFO lanes of the device's event queue.  Each carries event kinds
+/// whose firing times never decrease in the order they are scheduled, so a
+/// push is an append; only `CellDone` and `TxnComplete`, whose times depend
+/// on each transaction's length and bus contention, go through the heap.
+#[derive(Debug, Clone, Copy)]
+enum Lane {
+    /// `Schedule`, always scheduled at the current instant, and the current
+    /// instant never runs backwards.
+    Schedule,
+    /// `ChipKick`, at the current instant plus the device's constant
+    /// decision window.
+    ChipKick,
+    /// `WriteDataReady` and `ReadReturned`, at the completion of a
+    /// [`DmaEngine::transfer`]: one serial engine whose completions increase.
+    Dma,
+}
+
+/// Number of [`Lane`]s.
+const LANES: usize = Lane::Dma as usize + 1;
 
 /// A transaction currently executing on a chip.  Its members sit in the
 /// chip's row of [`Ssd`]'s member slab, in transaction request order.
@@ -103,7 +122,7 @@ pub struct Ssd {
     controllers: Vec<FlashController>,
     dma: DmaEngine,
     queue: DeviceQueue,
-    events: EventQueue<SsdEvent>,
+    events: EventQueue<SsdEvent, LANES>,
 
     waiting_host: VecDeque<HostRequest>,
     /// Every in-flight memory request (host and GC) with its GC role; slots
@@ -195,7 +214,7 @@ impl Ssd {
         Ok(Ssd {
             dma: DmaEngine::new(config.dma_bytes_per_sec),
             queue: DeviceQueue::new(config.queue_depth),
-            events: EventQueue::new(),
+            events: EventQueue::with_lanes(),
             waiting_host: VecDeque::new(),
             inflight: InFlight::default(),
             ledger: CommitmentLedger::new(total_chips, config.max_committed_per_chip),
@@ -303,19 +322,17 @@ impl Ssd {
         let mut next = source.next();
         let mut last_arrival = SimTime::ZERO;
         loop {
-            let due = match (&next, self.events.peek_time()) {
-                (Some(request), Some(next_event)) => request.arrival <= next_event,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
+            let next_event = self.events.peek_time();
+            let due = next
+                .as_ref()
+                .is_some_and(|request| next_event.is_none_or(|at| request.arrival <= at));
             // With an empty event queue the arrival must be ingested regardless
             // of the backlog bound, or the replay could not make progress (in
             // practice a full backlog implies queued tags and therefore pending
             // events).
-            let backlog_has_room = self.waiting_host.len() < backlog_cap || self.events.is_empty();
-            if due && backlog_has_room {
+            let backlog_has_room = self.waiting_host.len() < backlog_cap || next_event.is_none();
+            if let Some(request) = next.take_if(|_| due && backlog_has_room) {
                 TelemetryCounters::incr(&self.telemetry.stream_admissions);
-                let request = next.take().expect("due implies a pulled request");
                 assert!(
                     request.arrival >= last_arrival,
                     "run_stream requires nondecreasing arrival times (request {} at {} ns \
@@ -330,7 +347,7 @@ impl Ssd {
                 // is ingested at the current simulation time; `request.arrival`
                 // itself is what every metric records.
                 let at = request.arrival.max(self.events.now());
-                self.handle_event(at, SsdEvent::Arrival(request));
+                self.handle_arrival(at, request);
             } else if let Some((now, event)) = self.events.pop() {
                 if due {
                     // A request was due but the bounded backlog had no room:
@@ -362,14 +379,15 @@ impl Ssd {
         )
     }
 
+    fn handle_arrival(&mut self, now: SimTime, request: HostRequest) {
+        self.metrics.record_arrival(request.arrival);
+        self.waiting_host.push_back(request);
+        self.try_admit(now);
+        self.request_schedule(now);
+    }
+
     fn handle_event(&mut self, now: SimTime, event: SsdEvent) {
         match event {
-            SsdEvent::Arrival(request) => {
-                self.metrics.record_arrival(request.arrival);
-                self.waiting_host.push_back(request);
-                self.try_admit(now);
-                self.request_schedule(now);
-            }
             SsdEvent::Schedule => {
                 self.schedule_pending = false;
                 self.run_scheduler(now);
@@ -419,7 +437,7 @@ impl Ssd {
     fn request_schedule(&mut self, now: SimTime) {
         if !self.schedule_pending {
             self.schedule_pending = true;
-            self.events.schedule(now, SsdEvent::Schedule);
+            self.schedule_in_lane(Lane::Schedule, now, SsdEvent::Schedule);
         }
     }
 
@@ -496,7 +514,7 @@ impl Ssd {
             // Write payload must cross the host interface before the flash program
             // can be composed (memory request composition + data movement, Fig 3).
             let ready = self.dma.transfer(now, page_size);
-            self.events.schedule(ready, SsdEvent::WriteDataReady(id));
+            self.schedule_in_lane(Lane::Dma, ready, SsdEvent::WriteDataReady(id));
         } else {
             self.deliver_to_controller(id, now);
         }
@@ -575,8 +593,17 @@ impl Ssd {
             return;
         }
         self.chip_kick_pending[chip] = true;
-        self.events
-            .schedule(now + self.config.decision_window, SsdEvent::ChipKick(chip));
+        let at = now + self.config.decision_window;
+        self.schedule_in_lane(Lane::ChipKick, at, SsdEvent::ChipKick(chip));
+    }
+
+    /// Schedules an event of an in-order kind through its lane.
+    fn schedule_in_lane(&mut self, lane: Lane, at: SimTime, event: SsdEvent) {
+        let in_order = self.events.schedule_in_lane(lane as usize, at, event);
+        debug_assert!(
+            in_order,
+            "{lane:?} lane event at {at:?} fell back to the heap"
+        );
     }
 
     fn try_start_transaction(&mut self, chip_index: usize, now: SimTime) {
@@ -662,7 +689,7 @@ impl Ssd {
                 // Read payload returns to the host through the DMA engine.
                 request.phase = MemReqPhase::Returning;
                 let done = self.dma.transfer(now, page_size);
-                self.events.schedule(done, SsdEvent::ReadReturned(member));
+                self.schedule_in_lane(Lane::Dma, done, SsdEvent::ReadReturned(member));
             } else {
                 self.complete_mem_request(member, now);
             }
@@ -691,13 +718,11 @@ impl Ssd {
             let mut finished: Option<(HostRequest, SimTime)> = None;
             if let Some(slot) = slot {
                 if self.queue.complete_page_at(slot, request.page_index) {
-                    let tag = self
+                    finished = self
                         .queue
                         .state_at(slot as usize)
-                        .expect("completed page belongs to a queued tag");
-                    if tag.fully_committed() && tag.fully_completed() {
-                        finished = Some((tag.host, now));
-                    }
+                        .filter(|tag| tag.fully_committed() && tag.fully_completed())
+                        .map(|tag| (tag.host, now));
                 }
             }
             self.scheduler.on_complete(tag_id, request.page_index);
@@ -1080,16 +1105,13 @@ mod tests {
             .with_gc(GcConfig::enabled());
         let mut ssd = Ssd::new(config, Box::new(CommitAllScheduler::new())).unwrap();
         ssd.precondition(0.90, 7);
-        for i in 0..3_000 {
-            let request = write_req(i, i * 20, (i * 7) % 48, 1);
-            ssd.events
-                .schedule(request.arrival, SsdEvent::Arrival(request));
-        }
+        let storm = (0..3_000)
+            .map(|i| write_req(i, i * 20, (i * 7) % 48, 1))
+            .collect();
         let mut peak = 0;
-        while let Some((now, event)) = ssd.events.pop() {
-            ssd.handle_event(now, event);
+        replay_eager(&mut ssd, storm, |ssd| {
             peak = peak.max(ssd.inflight.len());
-        }
+        });
         assert!(
             ssd.ftl.gc_stats().pages_migrated > 0,
             "the storm migrated pages"
@@ -1144,20 +1166,34 @@ mod tests {
         }
     }
 
-    /// The seed's replay loop, kept as a test-only reference: every arrival is
-    /// pre-scheduled as an event up front (memory O(trace length)) and the
-    /// event queue drained.  `run_stream`'s bounded-admission deferral must be
-    /// observationally identical to this.
-    fn run_eager_reference(mut ssd: Ssd, trace: Vec<HostRequest>) -> RunMetrics {
+    /// The seed's eager replay loop, kept as a test-only reference: every
+    /// arrival is ingested at its own time, before any device event due at the
+    /// same instant, however long the host backlog grows (memory O(trace
+    /// length)).  That is the order the seed got by pre-scheduling every
+    /// arrival as an event.  `after_step` sees the device after each arrival
+    /// or event.
+    fn replay_eager(ssd: &mut Ssd, trace: Vec<HostRequest>, mut after_step: impl FnMut(&Ssd)) {
         let mut arrivals = trace;
         arrivals.sort_by_key(|r| (r.arrival, r.id));
-        for request in arrivals {
-            ssd.events
-                .schedule(request.arrival, SsdEvent::Arrival(request));
+        let mut arrivals = arrivals.into_iter().peekable();
+        loop {
+            let next_event = ssd.events.peek_time();
+            if let Some(request) = arrivals.next_if(|r| next_event.is_none_or(|at| r.arrival <= at))
+            {
+                ssd.handle_arrival(request.arrival, request);
+            } else if let Some((now, event)) = ssd.events.pop() {
+                ssd.handle_event(now, event);
+            } else {
+                break;
+            }
+            after_step(ssd);
         }
-        while let Some((now, event)) = ssd.events.pop() {
-            ssd.handle_event(now, event);
-        }
+    }
+
+    /// `run_stream`'s bounded-admission deferral must be observationally
+    /// identical to [`replay_eager`].
+    fn run_eager_reference(mut ssd: Ssd, trace: Vec<HostRequest>) -> RunMetrics {
+        replay_eager(&mut ssd, trace, |_| {});
         ssd.finalize()
     }
 
@@ -1219,6 +1255,63 @@ mod tests {
         assert_eq!(eager.gc.invocations, streamed.gc.invocations);
         assert_eq!(eager.gc.blocks_erased, streamed.gc.blocks_erased);
         assert_eq!(eager.avg_latency_ns, streamed.avg_latency_ns);
+    }
+
+    /// Arrivals are not events, so an event is 16 B and a heap entry 32 B.
+    #[test]
+    fn an_event_is_two_words() {
+        assert_eq!(std::mem::size_of::<SsdEvent>(), 16);
+    }
+
+    /// The share of scheduled events that went into a lane, after checking
+    /// that no lane push fell back to the heap.
+    fn laned_share(ssd: &Ssd) -> f64 {
+        let stats = ssd.events.lane_stats();
+        assert_eq!(stats.fell_back, 0, "a lane push fell back to the heap");
+        assert!(stats.scheduled > 1_000, "{stats:?}");
+        stats.laned as f64 / stats.scheduled as f64
+    }
+
+    /// Pins the event routing the lanes were built for: on a paced 64-chip
+    /// replay and on a GC storm, most events take a lane, and every lane push
+    /// is in order.  A change that routes an in-order kind back through the
+    /// heap, or that breaks a lane's ordering argument, fails here.
+    #[test]
+    fn most_events_take_an_in_order_lane() {
+        let mut paced = Ssd::new(
+            SsdConfig::paper_default().with_blocks_per_plane(32),
+            Box::new(CommitAllScheduler::new()),
+        )
+        .unwrap();
+        paced.replay((0..4_000).map(|i| {
+            if i % 4 == 0 {
+                write_req(i, i * 15, (i * 37) % 4_096, 2)
+            } else {
+                read_req(i, i * 15, (i * 11) % 4_096, 4)
+            }
+        }));
+        let share = laned_share(&paced);
+        assert!(
+            share >= 0.55,
+            "paced 64-chip replay: {share:.3} of events laned"
+        );
+
+        // The gc16 shape: 16 chips of 8 blocks per plane at 90% full, under
+        // 8-page overwrites spread over half the logical pages.
+        let config = SsdConfig::paper_default()
+            .with_chip_count(16)
+            .with_blocks_per_plane(8)
+            .with_gc(GcConfig::enabled());
+        let span = config.geometry.total_pages() as u64 / 2 / 8;
+        let mut storm = Ssd::new(config, Box::new(CommitAllScheduler::new())).unwrap();
+        storm.precondition(0.90, 7);
+        storm.replay((0..3_000).map(|i| write_req(i, i * 20, (i * 7_919) % span * 8, 8)));
+        assert!(
+            storm.ftl.gc_stats().pages_migrated > 0,
+            "the storm migrated pages"
+        );
+        let share = laned_share(&storm);
+        assert!(share >= 0.55, "GC storm: {share:.3} of events laned");
     }
 
     /// Regression test for the seed's same-round over-commitment double-count:

@@ -19,8 +19,9 @@
 //! * [`run_array`] — parallel per-device replay: every device runs
 //!   `Ssd::run_stream` under its own bounded admission on its own scoped
 //!   thread;
-//! * [`ArrayMetrics`] — the merged host-level view (summed totals, slowest
-//!   device elapsed, weighted mean + exactly merged p99 latency) plus
+//! * [`ArrayMetrics`] — the merged host-level view as one `RunMetrics`
+//!   (summed totals, the union of the device windows, weighted mean + exactly
+//!   merged p99 latency) plus the placement layer's [`PlacementStats`], the
 //!   per-device breakdown and [`DeviceSkew`] imbalance statistics.
 //!
 //! # Example
@@ -36,8 +37,8 @@
 //!     .with_stripe_kb(256);
 //! let spec = SyntheticSpec::new("demo").with_footprint_mb(64);
 //! let metrics = run_array(&config, SchedulerKind::Spk3, &mut spec.stream(100, 7)).unwrap();
-//! assert_eq!(metrics.device_count, 4);
-//! assert!(metrics.bandwidth_kb_per_sec > 0.0);
+//! assert_eq!(metrics.devices.len(), 4);
+//! assert!(metrics.summary.bandwidth_kb_per_sec > 0.0);
 //! ```
 
 #![warn(missing_docs)]

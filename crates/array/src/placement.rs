@@ -341,8 +341,8 @@ impl PlacementMap {
     }
 }
 
-/// Counters the placement layer accumulates while rebalancing; merged into
-/// the array telemetry (`TelemetrySnapshot`) when a replay finishes.
+/// Counters the placement layer accumulates while rebalancing; a replay
+/// reports them as `ArrayMetrics::placement`, their only record.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PlacementStats {
     /// Stripes relocated between devices.
@@ -429,7 +429,7 @@ pub struct Rebalancer {
     /// Per-device sum of the heat of its resident stripes.
     load: Vec<f64>,
     records_in_window: u64,
-    /// Counters surfaced into the array telemetry.
+    /// Counters reported as `ArrayMetrics::placement`.
     pub stats: PlacementStats,
 }
 

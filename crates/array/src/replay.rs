@@ -175,12 +175,11 @@ pub fn run_array(
         .collect::<Result<Vec<RunMetrics>, String>>()
         .map_err(ArrayError::InvalidConfig)?;
     let peak = fanout.peak_buffered() as u64;
-    let placement_stats = fanout.placement_stats();
-    Ok(ArrayMetrics::merge_with(
+    Ok(ArrayMetrics::merge(
         config.stripe_bytes,
         metrics,
         peak,
-        placement_stats,
+        fanout.placement_stats(),
         &config.device_weights(),
     ))
 }
@@ -211,17 +210,19 @@ mod tests {
                 &mut trace.source(),
             )
             .unwrap();
-            assert_eq!(metrics.device_count, devices);
             assert_eq!(metrics.devices.len(), devices);
-            let bytes = metrics.bytes_read + metrics.bytes_written;
+            let bytes = metrics.summary.bytes_read + metrics.summary.bytes_written;
             assert_eq!(
                 bytes,
                 *width1_bytes.get_or_insert(bytes),
                 "striping must preserve page-rounded byte totals at width {devices}"
             );
-            assert!(metrics.io_count >= 200, "fragments can only add requests");
-            assert!(metrics.bandwidth_kb_per_sec > 0.0);
-            assert!(metrics.elapsed_ns > 0);
+            assert!(
+                metrics.summary.io_count >= 200,
+                "fragments can only add requests"
+            );
+            assert!(metrics.summary.bandwidth_kb_per_sec > 0.0);
+            assert!(metrics.summary.elapsed_ns > 0);
         }
     }
 
@@ -255,7 +256,7 @@ mod tests {
             .collect();
         let trace = Trace::new("skewed", records);
         let metrics = run_array(&config, SchedulerKind::Vas, &mut trace.source()).unwrap();
-        assert_eq!(metrics.io_count, total);
+        assert_eq!(metrics.summary.io_count, total);
         let cap = (2 * config.device(0).queue_depth * 4).max(256) as u64;
         assert!(
             metrics.peak_fanout_buffered <= cap + 4,

@@ -231,8 +231,9 @@ fn scaling_metrics() -> Vec<(&'static str, f64)> {
 /// adaptive-placement figures — the skew acceptance triple (uniform /
 /// hot-shard / hot-shard-rebalance at the skew figure horizon) and the
 /// modular-hot-set and heterogeneous headline cells, with the rebalancer's
-/// telemetry counters baselined from the merged summary so the whole
-/// heat-track → migrate → merge path sits under the perf gate.
+/// placement counters and the merged summary's scheduler rounds and p99
+/// baselined so the whole heat-track → migrate → merge path sits under the
+/// perf gate.
 fn array_metrics() -> Vec<(&'static str, f64)> {
     let scale = ExperimentScale::quick();
     let spk3 = |devices| scenario::array_scaleout_metrics(&scale, devices, SchedulerKind::Spk3);
@@ -240,10 +241,6 @@ fn array_metrics() -> Vec<(&'static str, f64)> {
     let n4 = spk3(4);
     let n16 = spk3(16);
     let vas16 = scenario::array_scaleout_metrics(&scale, 16, SchedulerKind::Vas);
-    // The summary carries the merged per-device telemetry and latency
-    // histogram; baselining counters from it keeps the array merge path
-    // itself under the perf gate.
-    let n16_summary = n16.summary_run_metrics();
     let skew = |label| scenario::array_skew_figure_metrics(&scale, label, SchedulerKind::Spk3);
     let uniform = skew("uniform");
     let hot = skew("hot-shard");
@@ -251,34 +248,42 @@ fn array_metrics() -> Vec<(&'static str, f64)> {
     // The headline acceptance figure: what fraction of the hot shard's
     // bandwidth cost the rebalancer claws back (0 = no better than static,
     // 1 = fully recovered to the uniform workload's bandwidth).
-    let recovered = (rebalanced.bandwidth_kb_per_sec - hot.bandwidth_kb_per_sec)
-        / (uniform.bandwidth_kb_per_sec - hot.bandwidth_kb_per_sec);
+    let recovered = (rebalanced.summary.bandwidth_kb_per_sec - hot.summary.bandwidth_kb_per_sec)
+        / (uniform.summary.bandwidth_kb_per_sec - hot.summary.bandwidth_kb_per_sec);
     let reb_adaptive = scenario::array_rebalance_metrics(&scale, "adaptive", SchedulerKind::Spk3);
     let reb_static = scenario::array_rebalance_metrics(&scale, "static", SchedulerKind::Spk3);
-    let reb_telemetry = reb_adaptive.summary_run_metrics().telemetry;
     let het_adaptive = scenario::array_hetero_metrics(&scale, "adaptive", SchedulerKind::Spk3);
     let het_static = scenario::array_hetero_metrics(&scale, "static", SchedulerKind::Spk3);
     vec![
-        ("array_spk3_n1_kbps", n1.bandwidth_kb_per_sec),
-        ("array_spk3_n4_kbps", n4.bandwidth_kb_per_sec),
-        ("array_spk3_n16_kbps", n16.bandwidth_kb_per_sec),
-        ("array_vas_n16_kbps", vas16.bandwidth_kb_per_sec),
+        ("array_spk3_n1_kbps", n1.summary.bandwidth_kb_per_sec),
+        ("array_spk3_n4_kbps", n4.summary.bandwidth_kb_per_sec),
+        ("array_spk3_n16_kbps", n16.summary.bandwidth_kb_per_sec),
+        ("array_vas_n16_kbps", vas16.summary.bandwidth_kb_per_sec),
         (
             "array_spk3_scaleout_x_n16_over_n1",
-            n16.bandwidth_kb_per_sec / n1.bandwidth_kb_per_sec,
+            n16.summary.bandwidth_kb_per_sec / n1.summary.bandwidth_kb_per_sec,
         ),
         ("array_spk3_n16_io_imbalance", n16.skew.io_imbalance),
         (
             "array_spk3_n16_sched_rounds",
-            n16_summary.telemetry.sched_rounds as f64,
+            n16.summary.telemetry.sched_rounds as f64,
         ),
         (
             "array_spk3_n16_p99_latency_ns",
-            n16_summary.p99_latency_ns as f64,
+            n16.summary.p99_latency_ns as f64,
         ),
-        ("array_skew_uniform_kbps", uniform.bandwidth_kb_per_sec),
-        ("array_skew_hot_shard_kbps", hot.bandwidth_kb_per_sec),
-        ("array_skew_rebalance_kbps", rebalanced.bandwidth_kb_per_sec),
+        (
+            "array_skew_uniform_kbps",
+            uniform.summary.bandwidth_kb_per_sec,
+        ),
+        (
+            "array_skew_hot_shard_kbps",
+            hot.summary.bandwidth_kb_per_sec,
+        ),
+        (
+            "array_skew_rebalance_kbps",
+            rebalanced.summary.bandwidth_kb_per_sec,
+        ),
         ("array_skew_hot_shard_io_imbalance", hot.skew.io_imbalance),
         (
             "array_skew_rebalance_io_imbalance",
@@ -287,15 +292,15 @@ fn array_metrics() -> Vec<(&'static str, f64)> {
         ("array_skew_gap_recovered_frac", recovered),
         (
             "array_skew_rebalance_stripes_migrated",
-            rebalanced.stripes_migrated as f64,
+            rebalanced.placement.stripes_migrated as f64,
         ),
         (
             "array_rebalance_static_kbps",
-            reb_static.bandwidth_kb_per_sec,
+            reb_static.summary.bandwidth_kb_per_sec,
         ),
         (
             "array_rebalance_adaptive_kbps",
-            reb_adaptive.bandwidth_kb_per_sec,
+            reb_adaptive.summary.bandwidth_kb_per_sec,
         ),
         (
             "array_rebalance_adaptive_io_imbalance",
@@ -303,20 +308,23 @@ fn array_metrics() -> Vec<(&'static str, f64)> {
         ),
         (
             "array_rebalance_stripes_migrated",
-            reb_telemetry.stripes_migrated as f64,
+            reb_adaptive.placement.stripes_migrated as f64,
         ),
         (
             "array_rebalance_migration_bytes",
-            reb_telemetry.migration_bytes as f64,
+            reb_adaptive.placement.migration_bytes as f64,
         ),
         (
             "array_rebalance_heat_decays",
-            reb_telemetry.heat_decays as f64,
+            reb_adaptive.placement.heat_decays as f64,
         ),
-        ("array_hetero_static_kbps", het_static.bandwidth_kb_per_sec),
+        (
+            "array_hetero_static_kbps",
+            het_static.summary.bandwidth_kb_per_sec,
+        ),
         (
             "array_hetero_adaptive_kbps",
-            het_adaptive.bandwidth_kb_per_sec,
+            het_adaptive.summary.bandwidth_kb_per_sec,
         ),
         (
             "array_hetero_static_weighted_io_imbalance",
@@ -333,7 +341,8 @@ fn array_metrics() -> Vec<(&'static str, f64)> {
 /// tenant-mix fairness and per-class p99 figures, and the tenant-storm
 /// isolation contract (victim p99 ratios pinned at 1.0-ish, storm-tenant p99
 /// ratio showing the blast landed on the storming tenant), plus the mux's
-/// admission telemetry so the DRR/bucket decision stream itself is gated.
+/// admission counts summed over the storm's tenants so the DRR/bucket
+/// decision stream itself is gated.
 fn tenant_metrics() -> Vec<(&'static str, f64)> {
     let scale = ExperimentScale::quick();
     let mix = scenario::tenant_mix_outcome(&scale, SchedulerKind::Spk3);
@@ -348,7 +357,9 @@ fn tenant_metrics() -> Vec<(&'static str, f64)> {
     };
     let baseline = scenario::tenant_storm_outcome(&scale, "baseline", SchedulerKind::Spk3);
     let storm = scenario::tenant_storm_outcome(&scale, "storm", SchedulerKind::Spk3);
-    let telemetry = &storm.metrics.telemetry;
+    let storm_admission = |count: fn(&sprinkler_tenants::TenantAdmissionStats) -> u64| {
+        storm.admission.iter().map(count).sum::<u64>() as f64
+    };
     vec![
         ("tenant_mix_spk3_fairness_index", mix.fairness_index()),
         (
@@ -381,15 +392,15 @@ fn tenant_metrics() -> Vec<(&'static str, f64)> {
         ("tenant_storm_spk3_fairness_index", storm.fairness_index()),
         (
             "tenant_storm_spk3_admissions",
-            telemetry.tenant_admissions as f64,
+            storm_admission(|s| s.admitted),
         ),
         (
             "tenant_storm_spk3_deferrals",
-            telemetry.tenant_deferrals as f64,
+            storm_admission(|s| s.deferrals),
         ),
         (
             "tenant_storm_spk3_throttles",
-            telemetry.tenant_throttles as f64,
+            storm_admission(|s| s.throttles),
         ),
     ]
 }
@@ -657,8 +668,26 @@ fn extract_number(json: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
+/// The figure keys of a committed file's `metrics_check` object, without its
+/// `tolerance_rel` and `note` header (flat keys, one per line, as
+/// [`metrics_check_json`] writes them).
+fn committed_check_keys(json: &str) -> Vec<&str> {
+    let Some(at) = json.find("\"metrics_check\": {") else {
+        return Vec::new();
+    };
+    let object = &json[at..];
+    let object = &object[..object.find('}').unwrap_or(object.len())];
+    object
+        .lines()
+        .skip(1)
+        .filter_map(|line| line.trim().strip_prefix('"')?.split('"').next())
+        .filter(|key| !matches!(*key, "tolerance_rel" | "note"))
+        .collect()
+}
+
 /// Recomputes one baseline's deterministic metrics and diffs them against the
-/// committed file.  Returns the number of drifted or missing keys.
+/// committed file.  Returns the number of drifted, missing or stale keys; a
+/// stale key is one the committed file gates but no recipe recomputes.
 fn check_file(root: &std::path::Path, file: &str, expected: &[(&str, f64)]) -> usize {
     let path = root.join(file);
     let committed = match std::fs::read_to_string(&path) {
@@ -690,6 +719,12 @@ fn check_file(root: &std::path::Path, file: &str, expected: &[(&str, f64)]) -> u
             }
         }
     }
+    for key in committed_check_keys(&committed) {
+        if !expected.iter().any(|(recomputed, _)| *recomputed == key) {
+            println!("FAIL {file}: key {key} is committed but no recipe recomputes it (regenerate the baselines)");
+            drifted += 1;
+        }
+    }
     drifted
 }
 
@@ -708,7 +743,7 @@ fn check_gate() -> ! {
     let elapsed = start.elapsed().as_secs_f64();
     if drifted > 0 {
         println!(
-            "perf gate FAILED: {drifted} metric(s) drifted ({elapsed:.2} s). If the change is \
+            "perf gate FAILED: {drifted} metric(s) drifted, missing or stale ({elapsed:.2} s). If the change is \
              intentional, regenerate with: cargo run --release -p sprinkler_experiments --bin \
              regen_baselines -- --label '<PR description>'"
         );
@@ -794,4 +829,19 @@ fn main() {
         "rewrote BENCH_seed.json, BENCH_scaling.json, BENCH_array.json, and BENCH_tenants.json \
          ({label})"
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn committed_check_keys_are_the_written_figures() {
+        let json = format!(
+            "{{\n  \"figure_check\": {{\n    \"other\": 1.0\n  }},\n{}\n}}\n",
+            metrics_check_json(&[("alpha", 1.0), ("beta", 2.5)])
+        );
+        assert_eq!(committed_check_keys(&json), ["alpha", "beta"]);
+        assert!(committed_check_keys("{}").is_empty());
+    }
 }

@@ -345,7 +345,7 @@ fn array_scaleout(scale: &ExperimentScale) -> Vec<ScenarioCell> {
     run_cells(&cells, |&(devices, kind)| ScenarioCell {
         label: format!("n{devices}"),
         scheduler: kind,
-        metrics: array_scaleout_metrics(scale, devices, kind).summary_run_metrics(),
+        metrics: array_scaleout_metrics(scale, devices, kind).summary,
     })
 }
 
@@ -458,7 +458,7 @@ fn array_skew(scale: &ExperimentScale) -> Vec<ScenarioCell> {
     run_cells(&cells, |&(label, kind)| ScenarioCell {
         label: label.to_string(),
         scheduler: kind,
-        metrics: array_skew_metrics(scale, label, kind).summary_run_metrics(),
+        metrics: array_skew_metrics(scale, label, kind).summary,
     })
 }
 
@@ -590,7 +590,7 @@ fn array_rebalance(scale: &ExperimentScale) -> Vec<ScenarioCell> {
     run_cells(&cells, |&(label, kind)| ScenarioCell {
         label: label.to_string(),
         scheduler: kind,
-        metrics: array_rebalance_metrics(scale, label, kind).summary_run_metrics(),
+        metrics: array_rebalance_metrics(scale, label, kind).summary,
     })
 }
 
@@ -647,7 +647,7 @@ fn array_hetero(scale: &ExperimentScale) -> Vec<ScenarioCell> {
     run_cells(&cells, |&(label, kind)| ScenarioCell {
         label: label.to_string(),
         scheduler: kind,
-        metrics: array_hetero_metrics(scale, label, kind).summary_run_metrics(),
+        metrics: array_hetero_metrics(scale, label, kind).summary,
     })
 }
 
@@ -939,7 +939,7 @@ mod tests {
                 uniform.skew.io_imbalance
             );
             assert!(
-                skewed.bandwidth_kb_per_sec < uniform.bandwidth_kb_per_sec,
+                skewed.summary.bandwidth_kb_per_sec < uniform.summary.bandwidth_kb_per_sec,
                 "{kind}: the hot shard must cost aggregate bandwidth"
             );
         }
@@ -964,15 +964,19 @@ mod tests {
             let uniform = array_skew_figure_metrics(&scale, "uniform", kind);
             let hot = array_skew_figure_metrics(&scale, "hot-shard", kind);
             let rebalanced = array_skew_figure_metrics(&scale, "hot-shard-rebalance", kind);
-            assert!(rebalanced.stripes_migrated > 0, "{kind}: no migrations");
-            let midpoint = (uniform.bandwidth_kb_per_sec + hot.bandwidth_kb_per_sec) / 2.0;
             assert!(
-                rebalanced.bandwidth_kb_per_sec >= midpoint,
+                rebalanced.placement.stripes_migrated > 0,
+                "{kind}: no migrations"
+            );
+            let midpoint =
+                (uniform.summary.bandwidth_kb_per_sec + hot.summary.bandwidth_kb_per_sec) / 2.0;
+            assert!(
+                rebalanced.summary.bandwidth_kb_per_sec >= midpoint,
                 "{kind}: recovered less than half the bandwidth gap \
                  (uniform {:.0}, hot {:.0}, rebalanced {:.0})",
-                uniform.bandwidth_kb_per_sec,
-                hot.bandwidth_kb_per_sec,
-                rebalanced.bandwidth_kb_per_sec
+                uniform.summary.bandwidth_kb_per_sec,
+                hot.summary.bandwidth_kb_per_sec,
+                rebalanced.summary.bandwidth_kb_per_sec
             );
             assert!(
                 rebalanced.skew.io_imbalance <= 1.2,
@@ -993,13 +997,16 @@ mod tests {
         for kind in SCHEDULERS {
             let stat = array_rebalance_metrics(&scale, "static", kind);
             let adaptive = array_rebalance_metrics(&scale, "adaptive", kind);
-            assert_eq!(stat.stripes_migrated, 0, "{kind}");
-            assert!(adaptive.stripes_migrated > 0, "{kind}: no migrations");
+            assert_eq!(stat.placement.stripes_migrated, 0, "{kind}");
             assert!(
-                adaptive.bandwidth_kb_per_sec > stat.bandwidth_kb_per_sec,
+                adaptive.placement.stripes_migrated > 0,
+                "{kind}: no migrations"
+            );
+            assert!(
+                adaptive.summary.bandwidth_kb_per_sec > stat.summary.bandwidth_kb_per_sec,
                 "{kind}: adaptive {:.0} did not beat static {:.0}",
-                adaptive.bandwidth_kb_per_sec,
-                stat.bandwidth_kb_per_sec
+                adaptive.summary.bandwidth_kb_per_sec,
+                stat.summary.bandwidth_kb_per_sec
             );
             assert!(
                 adaptive.skew.io_imbalance < stat.skew.io_imbalance,
@@ -1019,7 +1026,10 @@ mod tests {
         for kind in SCHEDULERS {
             let stat = array_hetero_metrics(&scale, "static", kind);
             let adaptive = array_hetero_metrics(&scale, "adaptive", kind);
-            assert!(adaptive.stripes_migrated > 0, "{kind}: no migrations");
+            assert!(
+                adaptive.placement.stripes_migrated > 0,
+                "{kind}: no migrations"
+            );
             assert!(
                 adaptive.skew.weighted_io_imbalance < stat.skew.weighted_io_imbalance,
                 "{kind}: weighted imbalance {:.3} did not improve on {:.3}",
@@ -1027,10 +1037,10 @@ mod tests {
                 stat.skew.weighted_io_imbalance
             );
             assert!(
-                adaptive.bandwidth_kb_per_sec > stat.bandwidth_kb_per_sec,
+                adaptive.summary.bandwidth_kb_per_sec > stat.summary.bandwidth_kb_per_sec,
                 "{kind}: adaptive {:.0} did not beat static {:.0}",
-                adaptive.bandwidth_kb_per_sec,
-                stat.bandwidth_kb_per_sec
+                adaptive.summary.bandwidth_kb_per_sec,
+                stat.summary.bandwidth_kb_per_sec
             );
         }
     }

@@ -199,11 +199,6 @@ impl CommandSequence {
         &self.issue
     }
 
-    /// Bus cycles executed after the cell operation finishes.
-    pub fn completion_cycles(&self) -> &[BusCycleKind] {
-        &self.completion
-    }
-
     fn count_commands(cycles: &[BusCycleKind]) -> u32 {
         cycles
             .iter()

@@ -1,9 +1,12 @@
 //! Discrete-event simulation primitives for the Sprinkler SSD reproduction.
 //!
 //! This crate provides the time base, the event queue, deterministic random number
-//! generation, and the statistics accumulators that the NAND flash model
-//! (`sprinkler_flash`), the SSD substrate (`sprinkler_ssd`), and the experiment
-//! harness build on.
+//! generation, the latency [`Histogram`] (one record per sample yields the run's
+//! mean, quantiles and maximum), and the per-run device and scheduler
+//! [`TelemetryCounters`] that the NAND flash model (`sprinkler_flash`), the SSD
+//! substrate (`sprinkler_ssd`), and the experiment harness build on.  Counts that
+//! a higher layer owns — array placement, tenant admission — live with that
+//! layer, not here.
 //!
 //! The simulation is event driven with nanosecond resolution.  All components share
 //! a single monotonic [`SimTime`]; the [`EventQueue`] orders arbitrary event payloads
@@ -41,7 +44,7 @@ pub mod time;
 
 pub use event::{EventQueue, LaneStats};
 pub use rng::{DeterministicRng, SplitMix64};
-pub use stats::{Histogram, MeanStat};
+pub use stats::Histogram;
 pub use telemetry::{
     alloc_count, bytes_allocated, panic_on_alloc, AllocScope, CountingAllocator, TelemetryCounters,
     TelemetrySnapshot,

@@ -189,12 +189,6 @@ impl Ftl {
         })
     }
 
-    /// Free blocks remaining in the plane that `lpn` statically maps to.
-    pub fn free_blocks_for(&self, lpn: Lpn) -> usize {
-        let plane = self.alloc.plane_index_of(self.alloc.static_placement(lpn));
-        self.alloc.free_blocks(plane)
-    }
-
     /// The flat plane index an address belongs to.
     pub fn plane_index_of_addr(&self, addr: PhysicalPageAddr) -> usize {
         self.alloc.plane_index_of_addr(addr)

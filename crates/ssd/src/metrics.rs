@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use sprinkler_flash::ParallelismLevel;
-use sprinkler_sim::{Duration, Histogram, MeanStat, SimTime, TelemetryCounters, TelemetrySnapshot};
+use sprinkler_sim::{Duration, Histogram, SimTime, TelemetryCounters, TelemetrySnapshot};
 
 use crate::ftl::GcStats;
 
@@ -265,17 +265,52 @@ impl TenantMetrics {
     }
 }
 
-/// Live accumulation state for one tenant lane.
+/// The completed-I/O tally the device collector and every tenant lane keep:
+/// one [`IoTally::record`] per completion feeds the read/write counts, the
+/// byte totals and the latency histogram, whose exact sum, count and maximum
+/// give the mean and the I/O count without a second copy.
 #[derive(Debug, Clone)]
-struct TenantLane {
-    spec: TenantLaneSpec,
-    io_count: u64,
+struct IoTally {
     read_ios: u64,
     write_ios: u64,
     bytes_read: u64,
     bytes_written: u64,
-    latency: MeanStat,
-    latency_hist: Histogram,
+    // Buckets from 1 µs to ~67 s; shared bounds, see latency_bucket_bounds.
+    latency: Histogram,
+}
+
+impl IoTally {
+    fn new() -> Self {
+        IoTally {
+            read_ios: 0,
+            write_ios: 0,
+            bytes_read: 0,
+            bytes_written: 0,
+            latency: Histogram::exponential(LATENCY_HIST_START_NS, LATENCY_HIST_BUCKETS),
+        }
+    }
+
+    fn record(&mut self, is_read: bool, bytes: u64, latency_ns: u64) {
+        if is_read {
+            self.read_ios += 1;
+            self.bytes_read += bytes;
+        } else {
+            self.write_ios += 1;
+            self.bytes_written += bytes;
+        }
+        self.latency.record(latency_ns);
+    }
+
+    fn io_count(&self) -> u64 {
+        self.latency.count()
+    }
+}
+
+/// Live accumulation state for one tenant lane.
+#[derive(Debug, Clone)]
+struct TenantLane {
+    spec: TenantLaneSpec,
+    tally: IoTally,
     slo_violations: u64,
 }
 
@@ -283,31 +318,26 @@ impl TenantLane {
     fn new(spec: TenantLaneSpec) -> Self {
         TenantLane {
             spec,
-            io_count: 0,
-            read_ios: 0,
-            write_ios: 0,
-            bytes_read: 0,
-            bytes_written: 0,
-            latency: MeanStat::new(),
-            latency_hist: Histogram::exponential(LATENCY_HIST_START_NS, LATENCY_HIST_BUCKETS),
+            tally: IoTally::new(),
             slo_violations: 0,
         }
     }
 
     fn finalize(self) -> TenantMetrics {
+        let tally = self.tally;
         TenantMetrics {
             name: self.spec.name,
-            io_count: self.io_count,
-            read_ios: self.read_ios,
-            write_ios: self.write_ios,
-            bytes_read: self.bytes_read,
-            bytes_written: self.bytes_written,
-            avg_latency_ns: self.latency.mean(),
-            p99_latency_ns: self.latency_hist.quantile(0.99),
-            max_latency_ns: self.latency_hist.max(),
+            io_count: tally.io_count(),
+            read_ios: tally.read_ios,
+            write_ios: tally.write_ios,
+            bytes_read: tally.bytes_read,
+            bytes_written: tally.bytes_written,
+            avg_latency_ns: tally.latency.mean(),
+            p99_latency_ns: tally.latency.quantile(0.99),
+            max_latency_ns: tally.latency.max(),
             slo_latency_ns: self.spec.slo_latency_ns,
             slo_violations: self.slo_violations,
-            latency_buckets: self.latency_hist.bucket_counts().to_vec(),
+            latency_buckets: tally.latency.bucket_counts().to_vec(),
         }
     }
 }
@@ -317,13 +347,7 @@ impl TenantLane {
 pub struct MetricsCollector {
     scheduler: String,
     record_series: bool,
-    io_count: u64,
-    read_ios: u64,
-    write_ios: u64,
-    bytes_read: u64,
-    bytes_written: u64,
-    latency: MeanStat,
-    latency_hist: Histogram,
+    ios: IoTally,
     queue_stall: Duration,
     first_arrival: Option<SimTime>,
     last_completion: SimTime,
@@ -346,14 +370,7 @@ impl MetricsCollector {
         MetricsCollector {
             scheduler: scheduler.to_string(),
             record_series,
-            io_count: 0,
-            read_ios: 0,
-            write_ios: 0,
-            bytes_read: 0,
-            bytes_written: 0,
-            latency: MeanStat::new(),
-            // Buckets from 1 µs to ~67 s; shared bounds, see latency_bucket_bounds.
-            latency_hist: Histogram::exponential(LATENCY_HIST_START_NS, LATENCY_HIST_BUCKETS),
+            ios: IoTally::new(),
             queue_stall: Duration::ZERO,
             first_arrival: None,
             last_completion: SimTime::ZERO,
@@ -371,8 +388,8 @@ impl MetricsCollector {
         }
     }
 
-    /// Registers the run's tenant lanes, pre-sizing one histogram and stat
-    /// bundle per tenant so the per-I/O attribution path never allocates.
+    /// Registers the run's tenant lanes, pre-sizing one I/O tally per tenant
+    /// so the per-I/O attribution path never allocates.
     /// Replaces any previously configured lanes.
     pub fn configure_tenants(&mut self, specs: &[TenantLaneSpec]) {
         self.tenant_lanes = specs.iter().cloned().map(TenantLane::new).collect();
@@ -413,17 +430,8 @@ impl MetricsCollector {
         arrival: SimTime,
         completed: SimTime,
     ) {
-        self.io_count += 1;
-        if is_read {
-            self.read_ios += 1;
-            self.bytes_read += bytes;
-        } else {
-            self.write_ios += 1;
-            self.bytes_written += bytes;
-        }
         let latency = completed.saturating_since(arrival);
-        self.latency.record(latency.as_nanos() as f64);
-        self.latency_hist.record(latency.as_nanos());
+        self.ios.record(is_read, bytes, latency.as_nanos());
         self.last_completion = self.last_completion.max(completed);
         if self.record_series {
             self.latency_series.push((host_id, latency.as_nanos()));
@@ -445,17 +453,8 @@ impl MetricsCollector {
         let Some(lane) = self.tenant_lanes.get_mut(tenant as usize) else {
             return;
         };
-        lane.io_count += 1;
-        if is_read {
-            lane.read_ios += 1;
-            lane.bytes_read += bytes;
-        } else {
-            lane.write_ios += 1;
-            lane.bytes_written += bytes;
-        }
         let latency = completed.saturating_since(submitted);
-        lane.latency.record(latency.as_nanos() as f64);
-        lane.latency_hist.record(latency.as_nanos());
+        lane.tally.record(is_read, bytes, latency.as_nanos());
         if lane.spec.slo_latency_ns > 0 && latency.as_nanos() > lane.spec.slo_latency_ns {
             lane.slo_violations += 1;
         }
@@ -488,7 +487,7 @@ impl MetricsCollector {
 
     /// Number of I/Os completed so far.
     pub fn completed_ios(&self) -> u64 {
-        self.io_count
+        self.ios.io_count()
     }
 
     /// Freezes the collector into a [`RunMetrics`], given the final simulation
@@ -557,22 +556,24 @@ impl MetricsCollector {
             idle: (1.0 - bus_operation - bus_contention - memory_operation).clamp(0.0, 1.0),
         };
 
-        let total_bytes = self.bytes_read + self.bytes_written;
+        let ios = self.ios;
+        let io_count = ios.io_count();
+        let total_bytes = ios.bytes_read + ios.bytes_written;
         RunMetrics {
             scheduler: self.scheduler,
-            io_count: self.io_count,
-            read_ios: self.read_ios,
-            write_ios: self.write_ios,
-            bytes_read: self.bytes_read,
-            bytes_written: self.bytes_written,
+            io_count,
+            read_ios: ios.read_ios,
+            write_ios: ios.write_ios,
+            bytes_read: ios.bytes_read,
+            bytes_written: ios.bytes_written,
             elapsed_ns: elapsed.as_nanos(),
             run_start_ns: start.as_nanos(),
             run_end_ns: end.as_nanos(),
             bandwidth_kb_per_sec: total_bytes as f64 / 1024.0 / elapsed_secs,
-            iops: self.io_count as f64 / elapsed_secs,
-            avg_latency_ns: self.latency.mean(),
-            p99_latency_ns: self.latency_hist.quantile(0.99),
-            max_latency_ns: self.latency_hist.max(),
+            iops: io_count as f64 / elapsed_secs,
+            avg_latency_ns: ios.latency.mean(),
+            p99_latency_ns: ios.latency.quantile(0.99),
+            max_latency_ns: ios.latency.max(),
             queue_stall_ns: self.queue_stall.as_nanos(),
             peak_host_backlog: self.peak_host_backlog,
             peak_pending_events: self.peak_pending_events,
@@ -589,7 +590,7 @@ impl MetricsCollector {
                 self.memory_requests as f64 / self.transactions as f64
             },
             gc,
-            latency_buckets: self.latency_hist.bucket_counts().to_vec(),
+            latency_buckets: ios.latency.bucket_counts().to_vec(),
             latency_series: self.latency_series,
             telemetry: self.telemetry.snapshot(),
             tenants: self
@@ -805,6 +806,38 @@ mod tests {
         assert_eq!(r.telemetry.sched_rounds, 1);
         assert_eq!(r.telemetry.stream_admissions, 1);
         assert_eq!(r.telemetry.stream_stalls, 0);
+    }
+
+    /// The mean is the histogram's exact integer sum over its count, on the
+    /// device and on a tenant lane alike; a running `f64` mean drifts from it
+    /// in the last bits on batches like these.
+    #[test]
+    fn mean_latency_is_the_exact_sum_over_the_count() {
+        for seed in 1..=5 {
+            let mut rng = sprinkler_sim::DeterministicRng::seeded(seed);
+            let mut m = MetricsCollector::new("mean", false);
+            m.configure_tenants(&[TenantLaneSpec {
+                name: "t".to_string(),
+                slo_latency_ns: 0,
+            }]);
+            m.record_arrival(SimTime::ZERO);
+            let (n, mut sum) = (1_000u64, 0u128);
+            for i in 0..n {
+                let latency = SimTime::from_nanos(rng.uniform_range_u64(1_000, 10_000_000));
+                sum += latency.as_nanos() as u128;
+                m.record_io(i, i % 3 == 0, 4096, SimTime::ZERO, latency);
+                m.record_tenant_io(0, i % 3 == 0, 4096, SimTime::ZERO, latency);
+            }
+            let r = m.finalize(micros(10_000), &[], &[], 8, GcStats::default());
+            let exact = sum as f64 / n as f64;
+            assert_eq!(r.avg_latency_ns.to_bits(), exact.to_bits(), "seed {seed}");
+            assert_eq!(
+                r.tenants[0].avg_latency_ns.to_bits(),
+                exact.to_bits(),
+                "seed {seed}"
+            );
+            assert_eq!(r.tenants[0].io_count, n);
+        }
     }
 
     #[test]

@@ -929,11 +929,6 @@ impl DeviceQueue {
         self.cand.capacity()
     }
 
-    /// Slot column: admission sequence per slot handle.
-    pub fn slot_seqs(&self) -> &[u64] {
-        &self.slot_seq
-    }
-
     /// Slot column: raw tag id per slot handle.
     pub fn slot_tags(&self) -> &[u64] {
         &self.slot_tag

@@ -266,13 +266,6 @@ impl Ssd {
         self.metrics.configure_tenants(specs);
     }
 
-    /// The run's shared telemetry counter bundle (also incremented by the
-    /// multi-tenant admission front, so tenant admission/deferral/throttle
-    /// counts land in the same per-run snapshot).
-    pub fn telemetry(&self) -> &Arc<TelemetryCounters> {
-        self.metrics.telemetry()
-    }
-
     /// Pre-conditions the SSD into a fragmented state (live data occupying
     /// `utilization` of the physical capacity) so garbage collection triggers
     /// quickly, as in the Fig 17 experiments.  Must be called before [`Ssd::run`].

@@ -1,12 +1,11 @@
 //! One-call replay of a [`TenantMux`] through a single SSD.
 //!
 //! This is the tenant-aware twin of the experiments crate's `run_source`: it
-//! wires the mux's telemetry into the device's per-run counter bundle,
 //! registers one metrics lane per tenant, rewrites each admitted record into a
 //! tenant-tagged [`HostRequest`], and replays through [`Ssd::run_stream`]'s
 //! bounded-admission loop.  The returned [`TenantOutcome`] pairs the device
 //! [`RunMetrics`] (now carrying `tenants` lanes) with the mux's admission-side
-//! statistics.
+//! statistics, the one record of admissions, deferrals and throttles.
 
 use sprinkler_core::SchedulerKind;
 use sprinkler_flash::Lpn;
@@ -68,7 +67,6 @@ pub fn run_tenants(
     let mut ssd = Ssd::new(config.clone(), kind.build())?;
     let lane_specs: Vec<_> = mux.specs().iter().map(|spec| spec.lane_spec()).collect();
     ssd.configure_tenants(&lane_specs);
-    mux.attach_telemetry(ssd.telemetry());
     let page_size = config.page_size();
     let metrics = {
         let mux = &mut mux;
@@ -142,8 +140,9 @@ mod tests {
         assert_eq!(outcome.metrics.tenants[0].name, "front");
         assert!(outcome.metrics.tenants[0].p99_latency_ns > 0);
         assert_eq!(
-            outcome.metrics.telemetry.tenant_admissions, 300,
-            "mux telemetry shares the run's counter bundle"
+            outcome.admission.iter().map(|s| s.admitted).sum::<u64>(),
+            300,
+            "the mux admitted every record it completed"
         );
         let fairness = outcome.fairness_index();
         assert!((0.0..=1.0).contains(&fairness));

@@ -529,6 +529,29 @@ mod tests {
     }
 
     #[test]
+    fn from_path_streams_the_same_records_as_from_text() {
+        let path = std::env::temp_dir().join(format!("sample_msr_{}.csv", std::process::id()));
+        std::fs::write(&path, SAMPLE_MSR_CSV).unwrap();
+        let mut from_file = TextTraceSource::from_path(&path).unwrap();
+        let records = drain(&mut from_file);
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(
+            records,
+            drain(&mut TextTraceSource::from_text("text", SAMPLE_MSR_CSV))
+        );
+        assert!(!records.is_empty());
+        assert!(from_file.error().is_none());
+        assert_eq!(
+            from_file.name(),
+            path.file_stem().unwrap().to_str().unwrap()
+        );
+        assert!(
+            TextTraceSource::from_path(&path).is_err(),
+            "the file is gone"
+        );
+    }
+
+    #[test]
     fn blkparse_sample_corpus_parses_cleanly() {
         let mut source = sample_blkparse();
         let records = drain(&mut source);

@@ -57,26 +57,26 @@ fn one_device_array_is_metric_for_metric_identical_for_all_schedulers() {
 
         // And the merged aggregates are bit-identical copies, not recomputed
         // approximations.
-        assert_eq!(array.io_count, bare.io_count, "{kind}");
-        assert_eq!(array.read_ios, bare.read_ios, "{kind}");
-        assert_eq!(array.write_ios, bare.write_ios, "{kind}");
-        assert_eq!(array.bytes_read, bare.bytes_read, "{kind}");
-        assert_eq!(array.bytes_written, bare.bytes_written, "{kind}");
-        assert_eq!(array.elapsed_ns, bare.elapsed_ns, "{kind}");
+        assert_eq!(array.summary.io_count, bare.io_count, "{kind}");
+        assert_eq!(array.summary.read_ios, bare.read_ios, "{kind}");
+        assert_eq!(array.summary.write_ios, bare.write_ios, "{kind}");
+        assert_eq!(array.summary.bytes_read, bare.bytes_read, "{kind}");
+        assert_eq!(array.summary.bytes_written, bare.bytes_written, "{kind}");
+        assert_eq!(array.summary.elapsed_ns, bare.elapsed_ns, "{kind}");
         assert_eq!(
-            array.bandwidth_kb_per_sec, bare.bandwidth_kb_per_sec,
+            array.summary.bandwidth_kb_per_sec, bare.bandwidth_kb_per_sec,
             "{kind}"
         );
-        assert_eq!(array.iops, bare.iops, "{kind}");
-        assert_eq!(array.avg_latency_ns, bare.avg_latency_ns, "{kind}");
-        assert_eq!(array.p99_latency_ns, bare.p99_latency_ns, "{kind}");
-        assert_eq!(array.max_latency_ns, bare.max_latency_ns, "{kind}");
-        assert_eq!(array.queue_stall_ns, bare.queue_stall_ns, "{kind}");
+        assert_eq!(array.summary.iops, bare.iops, "{kind}");
+        assert_eq!(array.summary.avg_latency_ns, bare.avg_latency_ns, "{kind}");
+        assert_eq!(array.summary.p99_latency_ns, bare.p99_latency_ns, "{kind}");
+        assert_eq!(array.summary.max_latency_ns, bare.max_latency_ns, "{kind}");
+        assert_eq!(array.summary.queue_stall_ns, bare.queue_stall_ns, "{kind}");
     }
 }
 
-/// Regression for the silently-dropped latency histogram: flattening an array
-/// replay into a summary `RunMetrics` must carry the elementwise-summed
+/// Regression for the silently-dropped latency histogram: an array replay's
+/// summary `RunMetrics` must carry the elementwise-summed
 /// per-device bucket counts, so feeding the summary back through
 /// `merged_latency_quantile` reproduces the exact p99 the array reported.
 /// Before the fix the summary's `..RunMetrics::default()` zeroed the buckets
@@ -90,16 +90,16 @@ fn array_summary_round_trips_its_latency_histogram_for_all_schedulers() {
     for kind in SchedulerKind::ALL {
         let array = run_array(&config, kind, &mut trace.source())
             .expect("the workload fits the 4-device array");
-        assert!(array.p99_latency_ns > 0, "{kind}: no latency samples");
-        let summary = array.summary_run_metrics();
+        let summary = &array.summary;
+        assert!(summary.p99_latency_ns > 0, "{kind}: no latency samples");
         assert_eq!(
             summary.latency_buckets.iter().sum::<u64>(),
-            array.io_count,
+            summary.io_count,
             "{kind}: the summary histogram must hold every device sample"
         );
         assert_eq!(
-            merged_latency_quantile([&summary], 0.99),
-            array.p99_latency_ns,
+            merged_latency_quantile([summary], 0.99),
+            summary.p99_latency_ns,
             "{kind}: summary did not round-trip to the array's p99"
         );
         // The always-on telemetry rides along: the summed device counters
@@ -151,32 +151,20 @@ fn rebalancer_off_replay_is_identical_to_static_striping_for_all_schedulers() {
             stat.devices, inert.devices,
             "{kind}: an inert rebalancer diverged from static striping"
         );
-        assert_eq!(stat.io_count, inert.io_count, "{kind}");
-        assert_eq!(stat.elapsed_ns, inert.elapsed_ns, "{kind}");
-        assert_eq!(
-            stat.bandwidth_kb_per_sec, inert.bandwidth_kb_per_sec,
-            "{kind}"
-        );
-        assert_eq!(stat.p99_latency_ns, inert.p99_latency_ns, "{kind}");
+        assert_eq!(stat.summary, inert.summary, "{kind}");
         assert_eq!(stat.skew, inert.skew, "{kind}");
-        assert_eq!(stat.stripes_migrated, 0, "{kind}");
-        assert_eq!(inert.stripes_migrated, 0, "{kind}");
-        // The summaries agree too.  The inert rebalancer honestly reports its
-        // (side-effect-free) heat decay passes, so that one counter is
-        // normalized before comparing the rest of the telemetry.
-        let stat_summary = stat.summary_run_metrics();
-        let mut inert_summary = inert.summary_run_metrics();
-        assert_eq!(inert_summary.telemetry.stripes_migrated, 0, "{kind}");
-        assert_eq!(inert_summary.telemetry.migration_bytes, 0, "{kind}");
-        assert!(inert_summary.telemetry.heat_decays > 0, "{kind}");
-        inert_summary.telemetry.heat_decays = 0;
-        assert_eq!(stat_summary, inert_summary, "{kind}");
+        assert_eq!(stat.placement.stripes_migrated, 0, "{kind}");
+        assert_eq!(inert.placement.stripes_migrated, 0, "{kind}");
+        assert_eq!(inert.placement.migration_bytes, 0, "{kind}");
+        // The inert rebalancer honestly reports its (side-effect-free) heat
+        // decay passes.
+        assert!(inert.placement.heat_decays > 0, "{kind}");
     }
 }
 
 /// With migrations allowed, the rebalancer's activity is visible end to end:
-/// counters surface in the `ArrayMetrics` and the flattened telemetry, and
-/// the placement genuinely moved stripes off the hot device.
+/// its counters surface as `ArrayMetrics::placement`, and the placement
+/// genuinely moved stripes off the hot device.
 #[test]
 fn rebalancer_on_migrates_and_surfaces_telemetry() {
     let config = ArrayConfig::new(device_config())
@@ -214,18 +202,14 @@ fn rebalancer_on_migrates_and_surfaces_telemetry() {
     let trace = Trace::new("hot", records);
     let metrics = run_array(&config, SchedulerKind::Spk3, &mut trace.source()).unwrap();
     assert!(
-        metrics.stripes_migrated > 0,
+        metrics.placement.stripes_migrated > 0,
         "a clustered workload must trigger migration"
     );
     assert_eq!(
-        metrics.migration_bytes,
-        metrics.stripes_migrated * config.stripe_bytes
+        metrics.placement.migration_bytes,
+        metrics.placement.stripes_migrated * config.stripe_bytes
     );
-    assert!(metrics.heat_decays > 0);
-    let summary = metrics.summary_run_metrics();
-    assert_eq!(summary.telemetry.stripes_migrated, metrics.stripes_migrated);
-    assert_eq!(summary.telemetry.migration_bytes, metrics.migration_bytes);
-    assert_eq!(summary.telemetry.heat_decays, metrics.heat_decays);
+    assert!(metrics.placement.heat_decays > 0);
 }
 
 /// Widening the array changes the partitioning, not the work: page-rounded
@@ -240,13 +224,20 @@ fn striped_replay_preserves_work_for_all_schedulers() {
         let narrow = run_array(&one, kind, &mut trace.source()).unwrap();
         let wide = run_array(&four, kind, &mut trace.source()).unwrap();
         assert_eq!(
-            narrow.bytes_read + narrow.bytes_written,
-            wide.bytes_read + wide.bytes_written,
+            narrow.summary.bytes_read + narrow.summary.bytes_written,
+            wide.summary.bytes_read + wide.summary.bytes_written,
             "{kind}: page-rounded byte totals must survive striping"
         );
-        assert_eq!(narrow.read_ios > 0, wide.read_ios > 0, "{kind}");
-        assert!(wide.io_count >= narrow.io_count, "{kind}: splits only add");
-        assert!(wide.bandwidth_kb_per_sec > 0.0, "{kind}");
+        assert_eq!(
+            narrow.summary.read_ios > 0,
+            wide.summary.read_ios > 0,
+            "{kind}"
+        );
+        assert!(
+            wide.summary.io_count >= narrow.summary.io_count,
+            "{kind}: splits only add"
+        );
+        assert!(wide.summary.bandwidth_kb_per_sec > 0.0, "{kind}");
     }
 }
 
@@ -285,11 +276,11 @@ fn tenant_mux_composes_with_striping() {
     // Transfers that cross a stripe boundary split into per-device fragments,
     // so the merged count is at least the 120 admitted records.
     assert!(
-        metrics.io_count >= 120,
+        metrics.summary.io_count >= 120,
         "records went missing: {}",
-        metrics.io_count
+        metrics.summary.io_count
     );
-    assert!(metrics.bandwidth_kb_per_sec > 0.0);
+    assert!(metrics.summary.bandwidth_kb_per_sec > 0.0);
     // Both devices saw work: the two tenant slices land on different halves
     // of the striped address space.
     assert!(metrics.devices.iter().all(|d| d.io_count > 0));

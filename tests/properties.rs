@@ -266,15 +266,15 @@ proptest! {
             .with_stripe_kb(64);
         // Workloads past the striped footprint are rejected, not summarized.
         if let Ok(array) = sprinkler::array::run_array(&config, kind, &mut trace.source()) {
-            let summary = array.summary_run_metrics();
+            let summary = &array.summary;
             prop_assert_eq!(summary.run_end_ns - summary.run_start_ns, summary.elapsed_ns);
             prop_assert_eq!(
                 summary.latency_buckets.iter().sum::<u64>(),
-                array.io_count
+                summary.io_count
             );
             prop_assert_eq!(
-                sprinkler::ssd::merged_latency_quantile([&summary], 0.99),
-                array.p99_latency_ns
+                sprinkler::ssd::merged_latency_quantile([summary], 0.99),
+                summary.p99_latency_ns
             );
         }
     }

@@ -81,9 +81,6 @@ fn every_io_lands_in_exactly_one_lane_and_the_books_agree() {
         // transfer the device actually performed.
         assert!(stats.bytes <= lane.total_bytes(), "lane {}", lane.name);
     }
-
-    // And the always-on telemetry saw every admission.
-    assert_eq!(outcome.metrics.telemetry.tenant_admissions, ios);
 }
 
 #[test]
@@ -143,10 +140,6 @@ fn token_bucket_throttles_the_lane_that_exceeds_its_contract() {
         stats("capped")
     );
     assert_eq!(stats("free").throttles, 0);
-    assert_eq!(
-        outcome.metrics.telemetry.tenant_throttles,
-        stats("capped").throttles
-    );
     // Both lanes still complete all their work — throttling delays, never drops.
     assert_eq!(stats("capped").admitted + stats("free").admitted, 120);
 }
@@ -154,14 +147,11 @@ fn token_bucket_throttles_the_lane_that_exceeds_its_contract() {
 #[test]
 fn runs_without_tenancy_report_no_tenant_lanes() {
     // The single-tenant (anonymous) path must stay byte-identical to the
-    // pre-tenancy world: no lanes, zero tenant telemetry.
+    // pre-tenancy world: no lanes.
     let config = device_config();
     let trace = SyntheticSpec::new("solo").generate(50, 11);
     let requests = sprinkler::experiments::to_host_requests(&trace, config.page_size());
     let ssd = sprinkler::ssd::Ssd::new(config, SchedulerKind::Spk3.build()).expect("valid config");
     let metrics = ssd.run(requests);
     assert!(metrics.tenants.is_empty());
-    assert_eq!(metrics.telemetry.tenant_admissions, 0);
-    assert_eq!(metrics.telemetry.tenant_deferrals, 0);
-    assert_eq!(metrics.telemetry.tenant_throttles, 0);
 }
